@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +26,18 @@ C_EXPONENT_MIN = -3
 C_EXPONENT_MAX = 15
 
 
-def default_c_grid() -> tuple[float, ...]:
-    """Powers of two over the standard exponent range, 19 values."""
-    return tuple(2.0**e for e in range(C_EXPONENT_MIN, C_EXPONENT_MAX + 1))
+def c_grid(exponent_min: int = C_EXPONENT_MIN, exponent_max: int = C_EXPONENT_MAX) -> tuple[float, ...]:
+    """Powers of two 2^e for e in [exponent_min, exponent_max]; 19 values by default."""
+    return tuple(2.0**e for e in range(exponent_min, exponent_max + 1))
+
+
+# Alias for the default grid, reachable where a ``c_grid`` argument shadows the function.
+default_c_grid = c_grid
+
+
+def select_c(table: Sequence[tuple[float, float]]) -> float:
+    """The C with the highest accuracy in a (C, accuracy) table; ties go to the smaller C."""
+    return min(table, key=lambda row: (-row[1], row[0]))[0]
 
 
 @dataclass(eq=False)
@@ -211,12 +221,7 @@ def cross_validate_C(
     tol: float = 1e-6,
 ) -> float:
     """Pick the C maximizing mean fold accuracy; ties go to the smaller C."""
-    table = cv_accuracy_table(X, y, seed, n_folds, c_grid, max_epochs, tol)
-    best_c, best_acc = table[0]
-    for C, acc in table[1:]:
-        if acc > best_acc:
-            best_c, best_acc = C, acc
-    return best_c
+    return select_c(cv_accuracy_table(X, y, seed, n_folds, c_grid, max_epochs, tol))
 
 
 def write_svm_model(path: str | Path, model: LinearSvmModel) -> None:

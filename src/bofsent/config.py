@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classifier import C_EXPONENT_MAX, C_EXPONENT_MIN
+from . import classifier, fusion
 from .prosody import ProsodyConfig
 from .video import DetectorConfig
 
@@ -30,13 +30,13 @@ class PipelineConfig:
     gmm_tol: float = 1e-5
     variance_floor_scale: float = 1e-4
     cv_folds: int = 5
-    c_exponent_min: int = C_EXPONENT_MIN
-    c_exponent_max: int = C_EXPONENT_MAX
+    c_exponent_min: int = classifier.C_EXPONENT_MIN
+    c_exponent_max: int = classifier.C_EXPONENT_MAX
     svm_max_epochs: int = 1000
     svm_tol: float = 1e-6
     fusion_mode: str = "score"  # "score" | "output"
     theta: float | None = None  # fixed fusion weight; None selects by grid search
-    theta_grid_step: float = 0.2
+    theta_grid_step: float = fusion.THETA_GRID_STEP
     seed: int = 42
 
     def __post_init__(self):
@@ -48,13 +48,10 @@ class PipelineConfig:
             raise ValueError(f"theta_grid_step {self.theta_grid_step} outside (0, 1]")
 
     def c_grid(self) -> tuple[float, ...]:
-        return tuple(2.0**e for e in range(self.c_exponent_min, self.c_exponent_max + 1))
+        return classifier.c_grid(self.c_exponent_min, self.c_exponent_max)
 
     def theta_candidates(self) -> tuple[float, ...]:
-        """The search grid over fusion weights plus the equal-weight default."""
-        steps = int(round(1.0 / self.theta_grid_step))
-        grid = {round(i * self.theta_grid_step, 10) for i in range(steps + 1)}
-        return tuple(sorted(grid | {0.5}))
+        return fusion.theta_candidates(self.theta_grid_step)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:

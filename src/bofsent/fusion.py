@@ -12,10 +12,22 @@ from typing import Iterable, Sequence
 
 from .corpus import Polarity
 
-THETA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-# Candidates searched: the grid plus the equal-weight default, which also
-# serves as the preferred tie-break target.
-THETA_CANDIDATES = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+THETA_GRID_STEP = 0.2
+
+
+def theta_candidates(step: float = THETA_GRID_STEP) -> tuple[float, ...]:
+    """Weights 0, step, 2*step, ... up to 1, plus the equal-weight default 0.5.
+
+    0.5 is always searched because it is also the preferred tie-break target.
+    """
+    steps = int(round(1.0 / step))
+    grid = {round(i * step, 10) for i in range(steps + 1)}
+    return tuple(sorted(grid | {0.5}))
+
+
+THETA_CANDIDATES = theta_candidates()
+# The default step's grid without the added equal-weight default.
+THETA_GRID = tuple(theta for theta in THETA_CANDIDATES if theta != 0.5)
 
 
 @dataclass(frozen=True)
@@ -123,46 +135,3 @@ def read_scores(path: str | Path) -> list[tuple[str, str, float]]:
         seg_id, modality, raw = parts
         rows.append((seg_id, modality, float(raw)))
     return rows
-
-
-def pairs_from_scores(
-    rows: Sequence[tuple[str, str, float]], truths: dict[str, Polarity] | None = None
-) -> list[ScorePair]:
-    """Assemble per-segment pairs from (segment_id, modality, score) records.
-
-    Every segment must appear exactly once per modality; pair order follows
-    first appearance in the rows.
-    """
-    by_segment: dict[str, dict[str, float]] = {}
-    order: list[str] = []
-    for seg_id, modality, score in rows:
-        if modality not in ("audio", "video"):
-            raise ValueError(f"unknown modality {modality!r} for segment {seg_id}")
-        slot = by_segment.setdefault(seg_id, {})
-        if modality in slot:
-            raise ValueError(f"duplicate {modality} score for segment {seg_id}")
-        if not slot:
-            order.append(seg_id)
-        slot[modality] = score
-    pairs = []
-    for seg_id in order:
-        slot = by_segment[seg_id]
-        missing = {"audio", "video"} - set(slot)
-        if missing:
-            raise ValueError(f"segment {seg_id} missing {sorted(missing)} score")
-        truth = truths.get(seg_id) if truths else None
-        pairs.append(
-            ScorePair(
-                segment_id=seg_id,
-                video_score=slot["video"],
-                audio_score=slot["audio"],
-                truth=truth,
-            )
-        )
-    return pairs
-
-
-def write_predictions(path: str | Path, predictions: Iterable[FusedPrediction]) -> None:
-    """Write (segment_id, fused_score, label) records, one tab-separated line each."""
-    lines = [f"{p.segment_id}\t{p.fused_score!r}\t{p.label.name.lower()}" for p in predictions]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -67,9 +67,7 @@ def load_state(out_dir: Path) -> dict:
 def _save_state(out_dir: Path, state: dict) -> None:
     state = dict(state)
     state["updated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    path = _state_path(out_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(_state_path(out_dir), state)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -135,28 +133,22 @@ def run_extract(
                 continue
             jobs.append((segment, modality, dst))
 
-    def run_job(job):
+    def run_job(job) -> tuple[str, str | None]:
         segment, modality, dst = job
-        _extract_one(manifest, segment, modality, config, dst)
+        try:
+            _extract_one(manifest, segment, modality, config, dst)
+        except Exception as exc:  # noqa: BLE001 - per-segment isolation is the contract
+            logger.error("extraction failed for %s/%s: %s", modality, segment.id, exc)
+            return f"{modality}:{segment.id}", str(exc)
+        return f"{modality}:{segment.id}", None
 
-    if workers <= 1:
-        for job in jobs:
-            try:
-                run_job(job)
-                result.extracted.append(f"{job[1]}:{job[0].id}")
-            except Exception as exc:  # noqa: BLE001 - per-segment isolation is the contract
-                logger.error("extraction failed for %s/%s: %s", job[1], job[0].id, exc)
-                result.failures[f"{job[1]}:{job[0].id}"] = str(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_job, job): job for job in jobs}
-            for future, job in futures.items():
-                try:
-                    future.result()
-                    result.extracted.append(f"{job[1]}:{job[0].id}")
-                except Exception as exc:  # noqa: BLE001
-                    logger.error("extraction failed for %s/%s: %s", job[1], job[0].id, exc)
-                    result.failures[f"{job[1]}:{job[0].id}"] = str(exc)
+    # The pool starts no thread unless it is used, i.e. when workers > 1.
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        for key, error in (pool.map if workers > 1 else map)(run_job, jobs):
+            if error is None:
+                result.extracted.append(key)
+            else:
+                result.failures[key] = error
 
     state["extract"] = {"hash": current_hash, "seed": config.seed}
     _save_state(out_dir, state)
@@ -168,35 +160,27 @@ def run_extract(
 # shared loading helpers
 
 
-def _check_extract_state(out_dir: Path, config: PipelineConfig, force: bool) -> None:
-    recorded = load_state(out_dir).get("extract", {}).get("hash")
-    current = extract_hash(config)
+def _check_stage(out_dir: Path, stage: str, current: str, force: bool) -> None:
+    """Raise unless ``stage`` is recorded with hash ``current``; a forced mismatch only warns."""
+    recorded = load_state(out_dir).get(stage, {}).get("hash")
     if recorded is None:
-        raise PipelineError(f"{out_dir}: no extraction artifacts recorded; run extract first")
+        raise PipelineError(f"{out_dir}: no {stage} artifacts recorded; run {stage} first")
     if recorded != current:
-        if force:
-            logger.warning("descriptor artifacts were built under a different configuration (forced)")
-        else:
+        problem = f"{stage} artifacts were built under a different configuration"
+        if not force:
             raise StaleArtifactsError(
-                "descriptors were extracted under a different configuration "
-                f"(recorded {recorded}, current {current}); re-extract or pass force"
+                f"{problem} (recorded {recorded}, current {current}); re-run {stage} or pass force"
             )
+        logger.warning("%s (forced)", problem)
+
+
+def _check_extract_state(out_dir: Path, config: PipelineConfig, force: bool) -> None:
+    _check_stage(out_dir, "extract", extract_hash(config), force)
 
 
 def _check_train_state(out_dir: Path, config: PipelineConfig, force: bool) -> None:
     _check_extract_state(out_dir, config, force)
-    recorded = load_state(out_dir).get("train", {}).get("hash")
-    current = train_hash(config)
-    if recorded is None:
-        raise PipelineError(f"{out_dir}: no trained models recorded; run train first")
-    if recorded != current:
-        if force:
-            logger.warning("models were trained under a different configuration (forced)")
-        else:
-            raise StaleArtifactsError(
-                "models were trained under a different configuration "
-                f"(recorded {recorded}, current {current}); re-train or pass force"
-            )
+    _check_stage(out_dir, "train", train_hash(config), force)
 
 
 def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[DescriptorSet]:
@@ -270,14 +254,11 @@ def run_train(
             y,
             cv_seed,
             n_folds=config.cv_folds,
-            c_grid=config.c_grid(),
+            c_grid=classifier.c_grid(config.c_exponent_min, config.c_exponent_max),
             max_epochs=config.svm_max_epochs,
             tol=config.svm_tol,
         )
-        best_c, best_acc = table[0]
-        for C, acc in table[1:]:
-            if acc > best_acc:
-                best_c, best_acc = C, acc
+        best_c = classifier.select_c(table)
         model = classifier.train_svm(
             X,
             y,
@@ -286,7 +267,7 @@ def run_train(
             max_epochs=config.svm_max_epochs,
             tol=config.svm_tol,
         )
-        logger.info("%s: selected C=%g (cv accuracy %.4f)", modality, best_c, best_acc)
+        logger.info("%s: selected C=%g (cv accuracy %.4f)", modality, best_c, dict(table)[best_c])
 
         out_dir.joinpath("models").mkdir(parents=True, exist_ok=True)
         codebook.write_codebook(codebook_path(out_dir, modality), book)
@@ -308,58 +289,76 @@ def run_train(
 # ---------------------------------------------------------------------------
 # scoring, evaluation, prediction
 
+# Per modality: SVM distances and normalized confidences, in segment order.
+Scores = dict[str, tuple[np.ndarray, np.ndarray]]
 
-def _load_models(out_dir: Path) -> tuple[dict, dict]:
-    codebooks = {}
-    models = {}
+
+def _score_segments(
+    manifest: Manifest, split: str | None, config: PipelineConfig, out_dir: Path, force: bool
+) -> tuple[Manifest, Scores]:
+    """Check the train state, pick the segments of ``split`` (all when None) and score them."""
+    _check_train_state(out_dir, config, force)
+    segments = filter_split(manifest, split) if split else manifest
+    if len(segments) == 0:
+        raise PipelineError(f"split {split!r} is empty" if split else "manifest is empty")
+    scores: Scores = {}
     for modality in MODALITIES:
-        cb_path = codebook_path(out_dir, modality)
-        model_path = svm_path(out_dir, modality)
-        for path in (cb_path, model_path):
+        paths = (codebook_path(out_dir, modality), svm_path(out_dir, modality))
+        for path in paths:
             if not path.exists():
                 raise PipelineError(f"missing trained artifact {path}; run train first")
-        codebooks[modality] = codebook.read_codebook(cb_path)
-        models[modality] = classifier.read_svm_model(model_path)
-    return codebooks, models
-
-
-def _segment_scores(
-    segments: Manifest, out_dir: Path, codebooks: dict, models: dict
-) -> dict[str, dict[str, float]]:
-    """Normalized confidence per segment and modality, plus the raw distance."""
-    scores: dict[str, dict[str, float]] = {seg.id: {} for seg in segments}
-    for modality in MODALITIES:
+        book = codebook.read_codebook(paths[0])
+        model = classifier.read_svm_model(paths[1])
         sets = _load_sets(segments, out_dir, modality)
-        book = codebooks[modality]
-        model = models[modality]
-        X = np.stack([codebook.encode(book, dset).values for dset in sets])
-        distances = classifier.decision_distances(model, X)
-        confidences = classifier.normalize_score(model, distances)
-        for segment, distance, confidence in zip(segments, distances, confidences):
-            scores[segment.id][modality] = float(confidence)
-            scores[segment.id][f"{modality}_distance"] = float(distance)
-    return scores
+        distances = classifier.decision_distances(
+            model, np.stack([codebook.encode(book, dset).values for dset in sets])
+        )
+        scores[modality] = (distances, classifier.normalize_score(model, distances))
+    return segments, scores
 
 
-def _write_score_file(out_dir: Path, name: str, segments: Manifest, scores: dict) -> Path:
-    rows = []
-    for segment in segments:
-        rows.append((segment.id, "audio", scores[segment.id]["audio"]))
-        rows.append((segment.id, "video", scores[segment.id]["video"]))
-    path = out_dir / "scores" / f"{name}.tsv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fusion.write_scores(path, rows)
-    return path
+def _pairs(
+    segments: Manifest, scores: Scores, truths: list[Polarity] | None = None
+) -> list[fusion.ScorePair]:
+    truths = truths or [None] * len(segments)
+    return [
+        fusion.ScorePair(segment_id=seg.id, video_score=video, audio_score=audio, truth=truth)
+        for seg, audio, video, truth in zip(
+            segments, scores["audio"][1].tolist(), scores["video"][1].tolist(), truths
+        )
+    ]
 
 
-def _fuse(pairs: list[fusion.ScorePair], mode: str, theta: float | None) -> list[fusion.FusedPrediction]:
+def _fuse_and_write(
+    out_dir: Path, name: str, pairs: list[fusion.ScorePair], mode: str, theta: float | None
+) -> tuple[list[fusion.FusedPrediction], Path]:
+    """Fuse every pair and write ``predictions/<name>.tsv`` in pair order."""
     if mode == "score":
         if theta is None:
             raise ValueError("score-level fusion requires a weight")
-        return [fusion.score_level_fuse(pair, theta) for pair in pairs]
-    if mode == "output":
-        return [fusion.output_level_fuse(pair) for pair in pairs]
-    raise ValueError(f"unknown fusion mode {mode!r}")
+        fused = [fusion.score_level_fuse(pair, theta) for pair in pairs]
+    elif mode == "output":
+        fused = [fusion.output_level_fuse(pair) for pair in pairs]
+    else:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    lines = ["id\taudio_score\tvideo_score\tfused_score\tlabel\tsentiment"]
+    for pair, pred in zip(pairs, fused):
+        sentiment = metrics.scale_confidence(pred.fused_score)
+        lines.append(
+            f"{pair.segment_id}\t{pair.audio_score!r}\t{pair.video_score!r}"
+            f"\t{pred.fused_score!r}\t{pred.label.name.lower()}\t{sentiment!r}"
+        )
+    path = out_dir / "predictions" / f"{name}.tsv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return fused, path
+
+
+def _write_report(reports_dir: Path, name: str, report: metrics.MetricReport, title: str) -> Path:
+    path = reports_dir / f"{name}.json"
+    _write_json(path, report.to_dict())
+    path.with_suffix(".txt").write_text(metrics.format_report(report, title=title), encoding="utf-8")
+    return path
 
 
 @dataclass
@@ -386,54 +385,38 @@ def run_evaluate(
     The selected weight is recorded for later ``predict`` runs.
     """
     out_dir = Path(out_dir)
-    _check_train_state(out_dir, config, force)
     mode = fusion_mode or config.fusion_mode
-    segments = filter_split(manifest, split)
-    if len(segments) == 0:
-        raise PipelineError(f"split {split!r} is empty")
+    segments, scores = _score_segments(manifest, split, config, out_dir, force)
     truth_labels = [segment.label() for segment in segments]
     truth_sentiment = [segment.sentiment for segment in segments]
     if len(set(truth_labels)) < 2:
         raise PipelineError(f"split {split!r} holds a single class; evaluation metrics need both")
 
-    codebooks, models = _load_models(out_dir)
-    scores = _segment_scores(segments, out_dir, codebooks, models)
-    _write_score_file(out_dir, split, segments, scores)
+    pairs = _pairs(segments, scores, truth_labels)
+    score_path = out_dir / "scores" / f"{split}.tsv"
+    score_path.parent.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for pair in pairs:
+        rows += [(pair.segment_id, "audio", pair.audio_score), (pair.segment_id, "video", pair.video_score)]
+    fusion.write_scores(score_path, rows)
 
     reports: dict[str, metrics.MetricReport] = {}
     report_paths: dict[str, Path] = {}
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-
     for modality in MODALITIES:
-        pred_labels = [
-            Polarity.POSITIVE if scores[seg.id][f"{modality}_distance"] > 0 else Polarity.NEGATIVE
-            for seg in segments
-        ]
-        pred_sentiment = [metrics.scale_confidence(scores[seg.id][modality]) for seg in segments]
-        report = metrics.compute_report(pred_labels, truth_labels, pred_sentiment, truth_sentiment)
-        reports[modality] = report
-        base = reports_dir / f"{split}_{modality}"
-        _write_json(base.with_suffix(".json"), report.to_dict())
-        base.with_suffix(".txt").write_text(
-            metrics.format_report(report, title=f"{modality} / {split}"), encoding="utf-8"
+        distances, confidences = scores[modality]
+        pred_labels = [Polarity.POSITIVE if d > 0 else Polarity.NEGATIVE for d in distances.tolist()]
+        pred_sentiment = [metrics.scale_confidence(c) for c in confidences.tolist()]
+        reports[modality] = metrics.compute_report(pred_labels, truth_labels, pred_sentiment, truth_sentiment)
+        report_paths[modality] = _write_report(
+            reports_dir, f"{split}_{modality}", reports[modality], f"{modality} / {split}"
         )
-        report_paths[modality] = base.with_suffix(".json")
-
-    pairs = [
-        fusion.ScorePair(
-            segment_id=seg.id,
-            video_score=scores[seg.id]["video"],
-            audio_score=scores[seg.id]["audio"],
-            truth=label,
-        )
-        for seg, label in zip(segments, truth_labels)
-    ]
 
     chosen_theta: float | None = None
     if mode == "score":
         chosen_theta = theta if theta is not None else config.theta
-        candidates = config.theta_candidates()
+        candidates = fusion.theta_candidates(config.theta_grid_step)
         trace = [
             {"theta": candidate, "error": fusion.evaluate_theta(pairs, candidate)}
             for candidate in candidates
@@ -450,36 +433,14 @@ def run_evaluate(
         state["fusion"] = {"theta": chosen_theta, "split": split}
         _save_state(out_dir, state)
 
-    fused = _fuse(pairs, mode, chosen_theta)
+    fused, _ = _fuse_and_write(out_dir, split, pairs, mode, chosen_theta)
     fused_labels = [pred.label for pred in fused]
     fused_sentiment = [metrics.scale_confidence(pred.fused_score) for pred in fused]
-    fused_report = metrics.compute_report(fused_labels, truth_labels, fused_sentiment, truth_sentiment)
-    reports["fused"] = fused_report
-    base = reports_dir / f"{split}_fused_{mode}"
-    _write_json(base.with_suffix(".json"), fused_report.to_dict())
-    base.with_suffix(".txt").write_text(
-        metrics.format_report(fused_report, title=f"fused ({mode}) / {split}"), encoding="utf-8"
+    reports["fused"] = metrics.compute_report(fused_labels, truth_labels, fused_sentiment, truth_sentiment)
+    report_paths["fused"] = _write_report(
+        reports_dir, f"{split}_fused_{mode}", reports["fused"], f"fused ({mode}) / {split}"
     )
-    report_paths["fused"] = base.with_suffix(".json")
-
-    predictions_path = out_dir / "predictions" / f"{split}.tsv"
-    _write_prediction_file(predictions_path, segments, scores, fused)
-
     return EvaluateResult(reports=reports, theta=chosen_theta, fusion_mode=mode, report_paths=report_paths)
-
-
-def _write_prediction_file(path: Path, segments: Manifest, scores: dict, fused) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["id\taudio_score\tvideo_score\tfused_score\tlabel\tsentiment"]
-    fused_by_id = {pred.segment_id: pred for pred in fused}
-    for segment in segments:
-        pred = fused_by_id[segment.id]
-        sentiment = metrics.scale_confidence(pred.fused_score)
-        lines.append(
-            f"{segment.id}\t{scores[segment.id]['audio']!r}\t{scores[segment.id]['video']!r}"
-            f"\t{pred.fused_score!r}\t{pred.label.name.lower()}\t{sentiment!r}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_predict(
@@ -497,14 +458,8 @@ def run_predict(
     the weight recorded by the last score-level evaluation, equal weights.
     """
     out_dir = Path(out_dir)
-    _check_train_state(out_dir, config, force)
     mode = fusion_mode or config.fusion_mode
-    segments = filter_split(manifest, split) if split else manifest
-    if len(segments) == 0:
-        raise PipelineError("no segments to predict")
-
-    codebooks, models = _load_models(out_dir)
-    scores = _segment_scores(segments, out_dir, codebooks, models)
+    segments, scores = _score_segments(manifest, split, config, out_dir, force)
 
     chosen_theta: float | None = None
     if mode == "score":
@@ -516,16 +471,4 @@ def run_predict(
             recorded = load_state(out_dir).get("fusion", {}).get("theta")
             chosen_theta = float(recorded) if recorded is not None else 0.5
 
-    pairs = [
-        fusion.ScorePair(
-            segment_id=seg.id,
-            video_score=scores[seg.id]["video"],
-            audio_score=scores[seg.id]["audio"],
-        )
-        for seg in segments
-    ]
-    fused = _fuse(pairs, mode, chosen_theta)
-    name = split if split else "all"
-    path = out_dir / "predictions" / f"{name}.tsv"
-    _write_prediction_file(path, segments, scores, fused)
-    return path
+    return _fuse_and_write(out_dir, split or "all", _pairs(segments, scores), mode, chosen_theta)[1]

@@ -10,6 +10,7 @@ from bofsent.classifier import (
     default_c_grid,
     normalize_score,
     read_svm_model,
+    select_c,
     stratified_folds,
     svm_objective,
     train_svm,
@@ -109,6 +110,10 @@ class TestCrossValidation:
             if acc == best_acc:
                 assert C >= best
                 break
+
+    def test_select_c_ties_go_to_smaller_c(self):
+        assert select_c([(4.0, 0.9), (0.5, 0.9), (1.0, 0.8)]) == 0.5
+        assert select_c([(0.125, 0.7), (2.0, 0.8)]) == 2.0
 
     def test_stratified_folds_cover_both_classes(self):
         y = np.array([1.0] * 12 + [-1.0] * 8)

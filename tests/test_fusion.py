@@ -5,18 +5,15 @@ from bofsent.corpus import Polarity
 from bofsent.fusion import (
     THETA_CANDIDATES,
     THETA_GRID,
-    FusedPrediction,
     ScorePair,
     classification_error,
     evaluate_theta,
     fusion_threshold,
     grid_search_theta,
     output_level_fuse,
-    pairs_from_scores,
     read_scores,
     score_level_fuse,
     ternary_quantize,
-    write_predictions,
     write_scores,
 )
 
@@ -205,22 +202,3 @@ class TestScoreFiles:
         path = tmp_path / "scores.tsv"
         write_scores(path, rows)
         assert read_scores(path) == rows
-
-    def test_pairs_assembled_in_first_appearance_order(self):
-        rows = [("b", "audio", 0.2), ("a", "video", 0.3), ("a", "audio", 0.1), ("b", "video", 0.9)]
-        pairs = pairs_from_scores(rows, truths={"a": P, "b": N})
-        assert [p.segment_id for p in pairs] == ["b", "a"]
-        assert pairs[0].video_score == 0.9
-        assert pairs[1].truth is P
-
-    def test_missing_modality_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            pairs_from_scores([("a", "audio", 0.2)])
-
-    def test_predictions_file(self, tmp_path):
-        preds = [FusedPrediction("a", 0.75, P), FusedPrediction("b", 0.25, N)]
-        path = tmp_path / "preds.tsv"
-        write_predictions(path, preds)
-        lines = path.read_text().splitlines()
-        assert lines[0].split("\t") == ["a", "0.75", "positive"]
-        assert lines[1].split("\t") == ["b", "0.25", "negative"]

@@ -157,6 +157,12 @@ class TestTrain:
             assert pipeline.codebook_path(trained, modality).read_bytes() == payloads[modality][0]
             assert pipeline.svm_path(trained, modality).read_bytes() == payloads[modality][1]
 
+    def test_selected_c_is_smallest_most_accurate(self, trained):
+        for modality in ("audio", "video"):
+            record = json.loads((trained / "models" / f"{modality}_cv.json").read_text())
+            best = max(acc for _, acc in record["table"])
+            assert record["selected_c"] == min(C for C, acc in record["table"] if acc == best)
+
     def test_single_class_split_rejected(self, corpus, trained, tmp_path):
         positive_only = Manifest(
             segments=tuple(s for s in corpus if s.label() is Polarity.POSITIVE),
@@ -234,6 +240,14 @@ class TestPredict:
             fields = line.split("\t")
             if float(fields[3]) == 0.5:
                 assert float(fields[5]) == 0.0
+
+    def test_recorded_theta_reproduces_evaluate_predictions(self, corpus, trained):
+        pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score")
+        path = trained / "predictions" / "validation.tsv"
+        evaluated = path.read_bytes()
+        path.unlink()
+        assert pipeline.run_predict(corpus, CONFIG, trained, split="validation") == path
+        assert path.read_bytes() == evaluated
 
     def test_rerun_identical(self, corpus, trained):
         first = pipeline.run_predict(corpus, CONFIG, trained, split="validation", theta=0.5)

@@ -156,13 +156,12 @@ def decision_distance(model: LinearSvmModel, x: np.ndarray) -> float:
     return float(decision_distances(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def normalize_score(model: LinearSvmModel, distance):
-    """Min-max map of a distance onto [0, 1] using the training-set bounds, clamped."""
+def normalize_score(model: LinearSvmModel, distance) -> np.ndarray:
+    """Min-max map of distances onto [0, 1] using the training-set bounds, clamped."""
     scaled = (np.asarray(distance, dtype=np.float64) - model.score_min) / (
         model.score_max - model.score_min
     )
-    clipped = np.clip(scaled, 0.0, 1.0)
-    return float(clipped) if np.isscalar(distance) or np.ndim(distance) == 0 else clipped
+    return np.clip(scaled, 0.0, 1.0)
 
 
 def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> list[np.ndarray]:

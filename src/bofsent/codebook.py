@@ -117,7 +117,7 @@ def sample_balanced(
             )
             idx = rng.choice(len(pool), size=need, replace=True)
         parts.append(pool[idx])
-    return np.concatenate(parts, axis=0).astype(np.float64)
+    return np.concatenate(parts, axis=0, dtype=np.float64)  # no float32 copy of the whole sample
 
 
 def _log_joint(codebook: GmmCodebook, data: np.ndarray) -> np.ndarray:

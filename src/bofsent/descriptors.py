@@ -1,6 +1,7 @@
 """Binary storage for per-segment descriptor matrices (shared by both modalities)."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,13 +36,25 @@ class DescriptorSet:
         return self.descriptors.shape[0]
 
 
-def write_descriptors(path: str | Path, dset: DescriptorSet) -> None:
+def _write_payload(fh, dset: DescriptorSet) -> None:
     seg_id = dset.segment_id.encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(_HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.dim, len(dset)))
-        fh.write(struct.pack("<I", len(seg_id)))
-        fh.write(seg_id)
-        fh.write(np.ascontiguousarray(dset.descriptors, dtype="<f4").tobytes())
+    fh.write(_HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.dim, len(dset)))
+    fh.write(struct.pack("<I", len(seg_id)))
+    fh.write(seg_id)
+    fh.write(np.ascontiguousarray(dset.descriptors, dtype="<f4").tobytes())
+
+
+def write_descriptors(path: str | Path, dset: DescriptorSet) -> None:
+    """Write atomically: ``path`` is either absent, its old content or the whole new file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            _write_payload(fh, dset)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_descriptors(path: str | Path) -> DescriptorSet:

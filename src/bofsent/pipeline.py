@@ -382,7 +382,8 @@ def run_evaluate(
 
     With score-level fusion and no fixed weight, the weight is grid-searched
     on this split and the per-candidate trace is written next to the reports.
-    The selected weight is recorded for later ``predict`` runs.
+    Only a grid-searched weight is recorded for later ``predict`` runs; a fixed
+    one (argument or config) appears in the trace alone.
     """
     out_dir = Path(out_dir)
     mode = fusion_mode or config.fusion_mode
@@ -425,13 +426,13 @@ def run_evaluate(
         if chosen_theta is None:
             chosen_theta = fusion.grid_search_theta(pairs, candidates)
             source = "grid-search"
+            state = load_state(out_dir)
+            state["fusion"] = {"theta": chosen_theta, "split": split}
+            _save_state(out_dir, state)
         _write_json(
             reports_dir / f"{split}_theta_trace.json",
             {"selected": chosen_theta, "source": source, "trace": trace},
         )
-        state = load_state(out_dir)
-        state["fusion"] = {"theta": chosen_theta, "split": split}
-        _save_state(out_dir, state)
 
     fused, _ = _fuse_and_write(out_dir, split, pairs, mode, chosen_theta)
     fused_labels = [pred.label for pred in fused]
@@ -455,7 +456,7 @@ def run_predict(
     """Emit fused predictions (no ground truth needed) for a manifest or one split.
 
     The fusion weight falls back, in order: explicit argument, config value,
-    the weight recorded by the last score-level evaluation, equal weights.
+    the weight recorded by the last grid-searched evaluation, equal weights.
     """
     out_dir = Path(out_dir)
     mode = fusion_mode or config.fusion_mode

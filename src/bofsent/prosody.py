@@ -1,10 +1,12 @@
 """Prosodic descriptor extraction from raw PCM audio.
 
-Each analysis frame yields three values: fundamental frequency from
-subharmonic summation on a log-frequency grid, voicing probability from the
-peak normalized autocorrelation in the pitch lag range, and a compressed-RMS
-loudness proxy. Frames whose voicing falls below the decision threshold are
-marked unvoiced (F0 = 0).
+A signal is cut into Hann-weighted analysis frames, and frame i becomes row i
+of an (n_frames, 3) matrix with columns ``f0 / f0_max`` (subharmonic summation
+on a log-frequency grid), voicing (peak normalized autocorrelation in the
+pitch lag range) and loudness (compressed RMS). A frame whose voicing is below
+the threshold is unvoiced: its column 0 is 0. The analysis functions work over
+the last axis of a (frames, block_len) stack; ``extract_audio_descriptors``
+feeds them ``FRAME_BLOCK`` frames at a time.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ import numpy as np
 PCM_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sIQ")
 _INT16_SCALE = 32767.0
+
+# Frames analysed per batched pass; a memory bound, not a tuning knob.
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -43,28 +48,6 @@ class PcmSignal:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class ProsodyFrame:
-    f0: float
-    voicing: float
-    loudness: float
-
-
-@dataclass(frozen=True)
-class ProsodyTrack:
-    """Per-frame prosody values for one segment, spaced ``frame_period`` seconds apart."""
-
-    frames: tuple[ProsodyFrame, ...]
-    frame_period: float
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def frame_signal(signal: PcmSignal, window: float, hop: float) -> np.ndarray:
@@ -99,6 +82,11 @@ def _log_frequency_grid(f0_min: float, f0_max: float, bins_per_octave: int) -> n
     return grid
 
 
+def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[..., index[...]]``: one entry of the last axis per leading position."""
+    return np.take_along_axis(values, index[..., None], axis=-1)[..., 0]
+
+
 def estimate_f0_shs(
     block: np.ndarray,
     sample_rate: int,
@@ -107,123 +95,114 @@ def estimate_f0_shs(
     n_harmonics: int = 5,
     compression: float = 0.85,
     bins_per_octave: int = 48,
-) -> tuple[float, float]:
-    """Estimate fundamental frequency of one block by subharmonic summation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the fundamental frequency of each block by subharmonic summation.
 
     Each candidate f on a log-frequency grid is scored as
-    sum_h compression**(h-1) * |X(h*f)| over ``n_harmonics`` harmonics; the
-    winning candidate is refined by parabolic interpolation on the log grid.
+    sum_h compression**(h-1) * |X(h*f)| over ``n_harmonics`` harmonics, with
+    |X| linearly interpolated between FFT bins and held at the Nyquist bin
+    beyond it; the winning candidate is refined by parabolic interpolation on
+    the log grid.
 
-    Returns (f0, salience). Salience is the winning score; an all-zero block
-    gives salience 0 and the caller should treat the frame as unvoiced.
+    ``block`` is (..., block_len); returns (f0, salience), each of shape
+    (...). Salience is the winning score; an all-zero block gives salience 0
+    and the caller should treat the frame as unvoiced.
     """
     if not (f0_min < f0_max < sample_rate / 2):
         raise ValueError("require f0_min < f0_max < sample_rate / 2")
     block = np.asarray(block, dtype=np.float64)
-    nfft = 1 << max(11, int(4 * block.size - 1).bit_length())
-    spectrum = np.abs(np.fft.rfft(block, nfft))
-    freqs = np.arange(spectrum.size) * (sample_rate / nfft)
+    nfft = 1 << max(11, int(4 * block.shape[-1] - 1).bit_length())
+    spectrum = np.abs(np.fft.rfft(block, nfft, axis=-1))
+    freqs = np.arange(spectrum.shape[-1]) * (sample_rate / nfft)
 
+    # Interpolation weights in np.interp's arithmetic: the bin at or below each
+    # target h*f, the distance past it and the bin spacing; past the last bin
+    # the Nyquist value is held.
     grid = _log_frequency_grid(f0_min, f0_max, bins_per_octave)
-    scores = np.zeros(grid.size)
-    for h in range(1, n_harmonics + 1):
-        scores += compression ** (h - 1) * np.interp(h * grid, freqs, spectrum)
+    targets = np.arange(1, n_harmonics + 1)[:, None] * grid
+    beyond = targets >= freqs[-1]
+    lower = np.minimum(np.searchsorted(freqs, targets, side="right") - 1, freqs.size - 2)
+    offset = targets - freqs[lower]
+    spacing = freqs[lower + 1] - freqs[lower]
 
-    i = int(np.argmax(scores))
-    salience = float(scores[i])
-    if salience <= 0.0:
-        return float(grid[i]), 0.0
+    scores = np.zeros(block.shape[:-1] + grid.shape)
+    for h in range(n_harmonics):
+        left = spectrum[..., lower[h]]
+        between = (spectrum[..., lower[h] + 1] - left) / spacing[h] * offset[h] + left
+        scores += compression**h * np.where(beyond[h], spectrum[..., -1:], between)
 
-    f0 = float(grid[i])
-    if 0 < i < grid.size - 1:
-        s0, s1, s2 = scores[i - 1], scores[i], scores[i + 1]
-        denom = s0 - 2.0 * s1 + s2
-        if denom < 0.0:
-            delta = float(np.clip(0.5 * (s0 - s2) / denom, -0.5, 0.5))
-            f0 = float(grid[i]) * 2.0 ** (delta / bins_per_octave)
-    return float(np.clip(f0, f0_min, f0_max)), salience
+    best = np.argmax(scores, axis=-1)
+    salience = _at(scores, best)
+    # Parabolic refinement around an interior peak of positive salience.
+    centre = np.clip(best, 1, grid.size - 2)
+    s0, s1, s2 = (_at(scores, centre + d) for d in (-1, 0, 1))
+    denom = s0 - 2.0 * s1 + s2
+    refine = (best == centre) & (denom < 0.0) & (salience > 0.0)
+    delta = np.clip(0.5 * (s0 - s2) / np.where(refine, denom, -1.0), -0.5, 0.5)
+    f0 = np.where(refine, grid[best] * 2.0 ** (delta / bins_per_octave), grid[best])
+    return np.clip(f0, f0_min, f0_max), salience
 
 
 def voicing_probability(
     block: np.ndarray,
-    salience: float,
+    salience: np.ndarray,
     sample_rate: int,
     f0_min: float = 55.0,
     f0_max: float = 400.0,
-) -> float:
+) -> np.ndarray:
     """Peak normalized autocorrelation over the pitch lag range, clamped to [0, 1].
 
+    ``block`` is (..., block_len) and ``salience`` broadcasts against (...).
     Correlations are normalized by the energies of the two overlapping
     stretches so periodic signals score near 1 despite window tapering.
     Zero-energy or zero-salience blocks score 0.
     """
     block = np.asarray(block, dtype=np.float64)
-    n = block.size
-    energy = float(block @ block)
-    if salience <= 0.0 or energy <= 0.0:
-        return 0.0
+    n = block.shape[-1]
     lag_min = max(1, int(sample_rate / f0_max))
     lag_max = min(n - 1, int(np.ceil(sample_rate / f0_min)))
     if lag_max < lag_min:
-        return 0.0
+        return np.zeros(block.shape[:-1])
 
     nfft = 1 << int(2 * n - 1).bit_length()
-    spec = np.fft.rfft(block, nfft)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
+    spec = np.fft.rfft(block, nfft, axis=-1)
+    raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=-1)[..., :n]
 
-    prefix = np.concatenate([[0.0], np.cumsum(block * block)])
+    energy = np.cumsum(block * block, axis=-1)
+    prefix = np.concatenate([np.zeros(block.shape[:-1] + (1,)), energy], axis=-1)
     lags = np.arange(lag_min, lag_max + 1)
-    head = prefix[n - lags]
-    tail = prefix[n] - prefix[lags]
+    head = prefix[..., n - lags]
+    tail = prefix[..., n : n + 1] - prefix[..., lags]
     denom = np.sqrt(head * tail)
     valid = denom > 0.0
-    if not valid.any():
-        return 0.0
-    r = raw[lags[valid]] / denom[valid]
-    return float(np.clip(r.max(), 0.0, 1.0))
+    r = np.where(valid, raw[..., lags] / np.where(valid, denom, 1.0), -np.inf).max(axis=-1)
+    voiced = (salience > 0.0) & (energy[..., -1] > 0.0) & valid.any(axis=-1)
+    return np.where(voiced, np.clip(r, 0.0, 1.0), 0.0)
 
 
-def loudness(block: np.ndarray, exponent: float = 0.3) -> float:
-    """Compressed-RMS intensity proxy: (root mean square) ** exponent."""
+def loudness(block: np.ndarray, exponent: float = 0.3) -> np.ndarray:
+    """Compressed-RMS intensity proxy, (root mean square) ** exponent, over the last axis."""
     block = np.asarray(block, dtype=np.float64)
-    rms = float(np.sqrt(np.mean(block * block))) if block.size else 0.0
-    return rms**exponent if rms > 0.0 else 0.0
-
-
-def extract_prosody(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> ProsodyTrack:
-    """Run the full per-frame analysis over a signal."""
-    blocks = frame_signal(signal, config.window, config.hop)
-    frames = []
-    for block in blocks:
-        f0, salience = estimate_f0_shs(
-            block,
-            signal.sample_rate,
-            config.f0_min,
-            config.f0_max,
-            config.n_harmonics,
-            config.compression,
-            config.bins_per_octave,
-        )
-        voicing = voicing_probability(block, salience, signal.sample_rate, config.f0_min, config.f0_max)
-        if voicing < config.voicing_threshold:
-            f0 = 0.0
-        frames.append(ProsodyFrame(f0=f0, voicing=voicing, loudness=loudness(block)))
-    return ProsodyTrack(frames=tuple(frames), frame_period=config.hop)
-
-
-def track_descriptors(track: ProsodyTrack, config: ProsodyConfig = ProsodyConfig()) -> np.ndarray:
-    """Per-frame descriptor rows (f0 / f0_max, voicing, loudness), shape (n_frames, 3)."""
-    if not track.frames:
-        return np.empty((0, 3), dtype=np.float64)
-    return np.array(
-        [(f.f0 / config.f0_max, f.voicing, f.loudness) for f in track.frames],
-        dtype=np.float64,
-    )
+    if block.shape[-1] == 0:
+        return np.zeros(block.shape[:-1])
+    rms = np.sqrt(np.mean(block * block, axis=-1))
+    return np.power(rms, exponent, out=np.zeros_like(rms), where=rms > 0.0)
 
 
 def extract_audio_descriptors(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> np.ndarray:
     """Extract the (n_frames, 3) descriptor matrix fed to codebook encoding."""
-    return track_descriptors(extract_prosody(signal, config), config)
+    frames = frame_signal(signal, config.window, config.hop)
+    rate = signal.sample_rate
+    rows = np.empty((frames.shape[0], 3))
+    for start in range(0, frames.shape[0], FRAME_BLOCK):
+        block = frames[start : start + FRAME_BLOCK]
+        f0, salience = estimate_f0_shs(
+            block, rate, config.f0_min, config.f0_max, config.n_harmonics, config.compression, config.bins_per_octave
+        )
+        voicing = voicing_probability(block, salience, rate, config.f0_min, config.f0_max)
+        f0 = np.where(voicing < config.voicing_threshold, 0.0, f0)
+        rows[start : start + FRAME_BLOCK] = np.column_stack([f0 / config.f0_max, voicing, loudness(block)])
+    return rows
 
 
 def write_pcm(path: str | Path, signal: PcmSignal) -> None:

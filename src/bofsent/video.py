@@ -244,7 +244,8 @@ def hessian_response_field(iv: IntegralVolume, sigma_s: float, sigma_t: float) -
 
 
 def _strict_local_maxima(field: np.ndarray) -> np.ndarray:
-    padded = np.pad(field, 1, constant_values=-1.0)
+    """Voxels above all 26 neighbours, with zeros beyond the array's faces."""
+    padded = np.pad(field, 1)
     t, h, w = field.shape
     result = np.ones(field.shape, dtype=bool)
     for dt in (-1, 0, 1):
@@ -257,6 +258,16 @@ def _strict_local_maxima(field: np.ndarray) -> np.ndarray:
     return result
 
 
+def _read_box(box: tuple[slice, ...], values: np.ndarray, target: tuple[slice, ...]) -> np.ndarray:
+    """Read a field that holds ``values`` on ``box`` and zeros elsewhere over the ``target`` box."""
+    out = np.zeros(tuple(s.stop - s.start for s in target))
+    common = [slice(max(b.start, s.start), min(b.stop, s.stop)) for b, s in zip(box, target)]
+    if all(c.start < c.stop for c in common):
+        into = tuple(slice(c.start - s.start, c.stop - s.start) for c, s in zip(common, target))
+        out[into] = values[tuple(slice(c.start - b.start, c.stop - b.start) for c, b in zip(common, box))]
+    return out
+
+
 def detect(iv: IntegralVolume, config: DetectorConfig = DetectorConfig()) -> list[InterestPoint]:
     """Find strict local maxima of |det H| over space, time and the scale ladder.
 
@@ -265,36 +276,30 @@ def detect(iv: IntegralVolume, config: DetectorConfig = DetectorConfig()) -> lis
     """
     if not config.spatial_scales or not config.temporal_scales:
         raise ValueError("scale ladder must be non-empty")
-    n_s, n_t = len(config.spatial_scales), len(config.temporal_scales)
+    # Each |det H| field is kept on the box where its filters fit. It is zero
+    # outside the box (filter margins are at least one voxel, so every box has
+    # a layer of such zeros around it), and a zero is never a strict maximum of
+    # a nonnegative field, so no point lies outside a box.
     fields = {}
     for si, sigma_s in enumerate(config.spatial_scales):
         for ti, sigma_t in enumerate(config.temporal_scales):
-            fields[si, ti] = np.abs(hessian_response_field(iv, sigma_s, sigma_t))
+            margins = _filter_bank(float(sigma_s), float(sigma_t))[1]
+            box = tuple(slice(m, max(m, n - m)) for m, n in zip(margins, iv.shape))
+            fields[si, ti] = box, np.abs(hessian_response_field(iv, sigma_s, sigma_t)[box])
 
     found = []
-    for (si, ti), field in fields.items():
+    for (si, ti), (box, field) in fields.items():
         mask = field > config.threshold
         if not mask.any():
             continue
         mask &= _strict_local_maxima(field)
         for dsi in (-1, 0, 1):
             for dti in (-1, 0, 1):
-                if dsi == dti == 0:
-                    continue
-                neighbor = fields.get((si + dsi, ti + dti))
-                if neighbor is not None:
-                    mask &= field > neighbor
+                if (dsi or dti) and (si + dsi, ti + dti) in fields:
+                    mask &= field > _read_box(*fields[si + dsi, ti + dti], box)
+        t0, y0, x0 = (s.start for s in box)
         for t, y, x in np.argwhere(mask):
-            found.append(
-                (
-                    -field[t, y, x],
-                    si,
-                    ti,
-                    int(t),
-                    int(y),
-                    int(x),
-                )
-            )
+            found.append((-field[t, y, x], si, ti, t0 + int(t), y0 + int(y), x0 + int(x)))
     found.sort()
     return [
         InterestPoint(

@@ -31,7 +31,7 @@ from bofsent.metrics import (
     prf1,
     scale_confidence,
 )
-from bofsent.prosody import PcmSignal, extract_prosody
+from bofsent.prosody import PcmSignal, ProsodyConfig, extract_audio_descriptors
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig, build_integral, detect
 from util import blob_volume, direct_posterior, subgradient_svm, tone
@@ -199,8 +199,8 @@ def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
 def test_criterion_6_prosody_accuracy():
     start = time.time()
     for freq in (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0):
-        track = extract_prosody(tone(freq, 1.0))
-        voiced = [f.f0 for f in track.frames if f.f0 > 0]
+        rows = extract_audio_descriptors(tone(freq, 1.0))
+        voiced = [f for f in (rows[:, 0] * ProsodyConfig().f0_max).tolist() if f > 0]
         assert voiced, f"{freq} Hz produced no voiced frames"
         octave_errors = sum(
             1 for f in voiced if abs(f - 2.0 * freq) < 3.0 or abs(2.0 * f - freq) < 3.0
@@ -209,8 +209,8 @@ def test_criterion_6_prosody_accuracy():
         worst = max(abs(f - freq) for f in voiced)
         assert worst <= 3.0, f"{freq} Hz: worst error {worst:.2f}"
 
-    silence = extract_prosody(PcmSignal(samples=np.zeros(16000), sample_rate=16000))
-    assert all(f.voicing == 0.0 and f.f0 == 0.0 for f in silence.frames)
+    silence = extract_audio_descriptors(PcmSignal(samples=np.zeros(16000), sample_rate=16000))
+    assert all(voicing == 0.0 and f0 == 0.0 for f0, voicing, _ in silence)
     elapsed = time.time() - start
     assert elapsed < 30.0
     _report(6, f"tones 100-400 Hz within 3 Hz, no octave errors, silence unvoiced ({elapsed:.1f}s)")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bofsent import cli, pipeline
+from bofsent import cli, descriptors, pipeline
 from bofsent.config import (
     PipelineConfig,
     config_from_dict,
@@ -137,6 +137,31 @@ class TestExtract:
         assert set(result.failures) == {"audio:ghost", "video:ghost"}
         assert len(result.extracted) == 4
 
+    def test_interrupted_write_is_reextracted(self, corpus, tmp_path, monkeypatch):
+        small = Manifest(segments=corpus.segments[:3], base_dir=corpus.base_dir)
+        victim = small.segments[1].id
+        out = tmp_path / "crash"
+        write_payload = descriptors._write_payload
+
+        def crash_midway(fh, dset):
+            if dset.segment_id == victim:
+                fh.write(b"DSC1")  # part of the header, then the write dies
+                raise OSError("simulated crash")
+            write_payload(fh, dset)
+
+        monkeypatch.setattr(descriptors, "_write_payload", crash_midway)
+        first = pipeline.run_extract(small, CONFIG, out, modalities=("audio",))
+        assert set(first.failures) == {f"audio:{victim}"}
+        assert sorted(p.name for p in (out / "descriptors" / "audio").iterdir()) == sorted(
+            f"{s.id}.dsc" for s in small if s.id != victim
+        )
+
+        monkeypatch.setattr(descriptors, "_write_payload", write_payload)
+        second = pipeline.run_extract(small, CONFIG, out, modalities=("audio",))
+        assert second.ok
+        assert second.extracted == [f"audio:{victim}"]
+        assert len(read_descriptors(pipeline.descriptor_path(out, "audio", victim))) > 0
+
 
 class TestTrain:
     def test_artifacts_exist(self, trained):
@@ -246,6 +271,20 @@ class TestPredict:
         path = trained / "predictions" / "validation.tsv"
         evaluated = path.read_bytes()
         path.unlink()
+        assert pipeline.run_predict(corpus, CONFIG, trained, split="validation") == path
+        assert path.read_bytes() == evaluated
+
+    def test_fixed_theta_leaves_recorded_weight(self, corpus, trained):
+        pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score")
+        recorded = pipeline.load_state(trained)["fusion"]
+        path = trained / "predictions" / "validation.tsv"
+        evaluated = path.read_bytes()
+        fixed = 0.0 if recorded["theta"] != 0.0 else 1.0
+        result = pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score", theta=fixed)
+        assert result.theta == fixed
+        assert pipeline.load_state(trained)["fusion"] == recorded
+        trace = json.loads((trained / "reports" / "validation_theta_trace.json").read_text())
+        assert (trace["selected"], trace["source"]) == (fixed, "fixed")
         assert pipeline.run_predict(corpus, CONFIG, trained, split="validation") == path
         assert path.read_bytes() == evaluated
 

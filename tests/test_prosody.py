@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bofsent import prosody
 from bofsent.prosody import (
     PcmSignal,
     ProsodyConfig,
     estimate_f0_shs,
-    extract_prosody,
+    extract_audio_descriptors,
     frame_signal,
     loudness,
     read_pcm,
-    track_descriptors,
     voicing_probability,
     write_pcm,
 )
-from util import tone
+from util import interp_salience, tone
 
 SR = 16000
 
@@ -81,8 +83,8 @@ class TestEstimateF0:
 
     def test_tone_sweep_accuracy_and_octaves(self):
         for freq in (100.0, 150.0, 200.0, 300.0, 400.0):
-            track = extract_prosody(tone(freq, 0.5))
-            voiced = [f.f0 for f in track.frames if f.f0 > 0]
+            rows = extract_audio_descriptors(tone(freq, 0.5))
+            voiced = [f for f in (rows[:, 0] * ProsodyConfig().f0_max).tolist() if f > 0]
             assert voiced, f"no voiced frames at {freq} Hz"
             octave_errors = sum(
                 1 for f in voiced if abs(f - 2 * freq) < 3.0 or abs(2 * f - freq) < 3.0
@@ -134,25 +136,27 @@ class TestLoudness:
 
 
 class TestExtractProsody:
+    """Descriptor columns: f0 / f0_max, voicing, loudness; f0 in Hz is column 0 * f0_max."""
+
     def test_steady_tone_all_voiced(self):
-        track = extract_prosody(tone(220.0, 1.0))
-        assert len(track) == 96
-        for frame in track.frames:
-            assert frame.voicing >= 0.45
-            assert abs(frame.f0 - 220.0) < 3.0
+        rows = extract_audio_descriptors(tone(220.0, 1.0))
+        assert len(rows) == 96
+        for f0, voicing in zip(rows[:, 0] * ProsodyConfig().f0_max, rows[:, 1]):
+            assert voicing >= 0.45
+            assert abs(f0 - 220.0) < 3.0
 
     def test_silence_all_unvoiced(self):
-        track = extract_prosody(PcmSignal(samples=np.zeros(SR), sample_rate=SR))
-        for frame in track.frames:
-            assert frame.f0 == 0.0
-            assert frame.voicing == 0.0
-            assert frame.loudness == 0.0
+        rows = extract_audio_descriptors(PcmSignal(samples=np.zeros(SR), sample_rate=SR))
+        for f0, voicing, level in rows:
+            assert f0 == 0.0
+            assert voicing == 0.0
+            assert level == 0.0
 
     def test_tone_then_silence_transition(self):
         config = ProsodyConfig()
         samples = np.concatenate([tone(220.0, 0.5).samples, np.zeros(SR // 2)])
-        track = extract_prosody(PcmSignal(samples=samples, sample_rate=SR), config)
-        voiced = [f.f0 > 0 for f in track.frames]
+        rows = extract_audio_descriptors(PcmSignal(samples=samples, sample_rate=SR), config)
+        voiced = (rows[:, 0] > 0).tolist()
         splice_frame = int(0.5 / config.hop)
         last_voiced = max(i for i, flag in enumerate(voiced) if flag)
         assert voiced.index(True) <= 2, "voiced prefix should start immediately"
@@ -162,18 +166,83 @@ class TestExtractProsody:
     def test_unvoiced_iff_f0_zero(self):
         rng = np.random.default_rng(9)
         samples = np.concatenate([tone(150.0, 0.3).samples, 0.1 * rng.standard_normal(SR // 2)])
-        track = extract_prosody(PcmSignal(samples=samples, sample_rate=SR))
-        for frame in track.frames:
-            assert (frame.f0 == 0.0) == (frame.voicing < 0.45)
-            if frame.f0 > 0:
-                assert 55.0 <= frame.f0 <= 400.0
+        rows = extract_audio_descriptors(PcmSignal(samples=samples, sample_rate=SR))
+        for f0, voicing in zip(rows[:, 0] * ProsodyConfig().f0_max, rows[:, 1]):
+            assert (f0 == 0.0) == (voicing < 0.45)
+            if f0 > 0:
+                assert 55.0 <= f0 <= 400.0
 
     def test_descriptor_layout(self):
         config = ProsodyConfig()
-        track = extract_prosody(tone(200.0, 0.2), config)
-        rows = track_descriptors(track, config)
-        assert rows.shape == (len(track), 3)
-        assert np.allclose(rows[:, 0] * config.f0_max, [f.f0 for f in track.frames])
+        signal = tone(200.0, 0.2)
+        blocks = frame_signal(signal, config.window, config.hop)
+        rows = extract_audio_descriptors(signal, config)
+        assert rows.shape == (len(blocks), 3)
+        f0 = []
+        for block in blocks:
+            hz, salience = estimate_f0_shs(block, SR)
+            f0.append(hz if voicing_probability(block, salience, SR) >= config.voicing_threshold else 0.0)
+        assert np.allclose(rows[:, 0] * config.f0_max, f0)
+
+
+class TestBatchedFrontEnd:
+    """A (frames, block_len) stack gives the row-by-row results; blocking changes nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_frames=st.integers(1, 6),
+        sample_rate=st.sampled_from([8000, 11025, 16000, 22050, 44100]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.sets(st.integers(0, 5)),
+    )
+    def test_stack_equals_row_by_row(self, n_frames, sample_rate, seed, zero_rows):
+        rng = np.random.default_rng(seed)
+        t = np.arange(800) / sample_rate
+        pitch = rng.uniform(60.0, 390.0, (n_frames, 1))
+        stack = rng.uniform(0.0, 1.0, (n_frames, 1)) * np.sin(2.0 * np.pi * pitch * t)
+        stack += rng.uniform(0.0, 0.5, (n_frames, 1)) * rng.standard_normal((n_frames, 800))
+        stack[[i for i in zero_rows if i < n_frames]] = 0.0
+        stack *= np.hanning(800)
+
+        f0, salience = estimate_f0_shs(stack, sample_rate)
+        voicing = voicing_probability(stack, salience, sample_rate)
+        level = loudness(stack)
+        assert f0.shape == salience.shape == voicing.shape == level.shape == (n_frames,)
+        rows = []
+        for row in stack:
+            row_f0, row_salience = estimate_f0_shs(row, sample_rate)
+            row_values = (row_f0, row_salience, voicing_probability(row, row_salience, sample_rate), loudness(row))
+            assert all(np.ndim(v) == 0 for v in row_values)
+            rows.append(row_values)
+        np.testing.assert_allclose(np.column_stack([f0, salience, voicing, level]), rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("frame_block", [1, 7, 10_000])
+    def test_frame_block_does_not_change_descriptors(self, monkeypatch, frame_block):
+        rng = np.random.default_rng(3)
+        samples = np.concatenate([tone(180.0, 0.4).samples, 0.2 * rng.standard_normal(SR // 4), np.zeros(SR // 10)])
+        signal = PcmSignal(samples=samples, sample_rate=SR)
+        reference = extract_audio_descriptors(signal)
+        assert len(reference) > prosody.FRAME_BLOCK
+        monkeypatch.setattr(prosody, "FRAME_BLOCK", frame_block)
+        rows = extract_audio_descriptors(signal)
+        np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-12)
+        assert rows.astype(np.float32).tobytes() == reference.astype(np.float32).tobytes()
+
+    def test_harmonics_past_nyquist_hold_the_last_bin(self):
+        # At 8 kHz, candidates above 800 Hz put their fifth harmonic past 4 kHz.
+        rate, settings_ = 8000, dict(f0_min=100.0, f0_max=1000.0, n_harmonics=5)
+        t = np.arange(400) / rate
+        rng = np.random.default_rng(11)
+        stack = np.stack(
+            [
+                np.sin(2.0 * np.pi * 950.0 * t),
+                np.sin(2.0 * np.pi * 3990.0 * t) + 0.3 * np.sin(2.0 * np.pi * 997.5 * t),
+                rng.standard_normal(t.size),
+            ]
+        ) * np.hanning(t.size)
+        _, salience = estimate_f0_shs(stack, rate, **settings_)
+        for row, value in zip(stack, salience):
+            assert value == pytest.approx(interp_salience(row, rate, **settings_), abs=1e-9)
 
 
 class TestPcmIo:

@@ -14,7 +14,7 @@ from bofsent.video import (
     read_frame_volume,
     write_frame_volume,
 )
-from util import blob_volume, brute_box_sum
+from util import blob_volume, brute_box_sum, full_field_detect
 
 SMALL_LADDER = DetectorConfig(spatial_scales=(1.2, 2.4), temporal_scales=(1.0, 2.0))
 
@@ -110,6 +110,23 @@ class TestHessianResponse:
 
 
 class TestDetect:
+    @pytest.mark.parametrize("threshold", [1e-4, 0.0, -1.0])
+    def test_matches_full_field_reference(self, threshold):
+        # 12 frames leave no room for the sigma_t = 4 filters and 40x40 none for sigma_s = 9.
+        rng = np.random.default_rng(4)
+        volume = FrameVolume(frames=np.clip(0.5 + 0.25 * rng.standard_normal((12, 40, 40)), 0.0, 1.0), frame_rate=10.0)
+        config = DetectorConfig(spatial_scales=(1.2, 2.4, 9.0), temporal_scales=(1.0, 2.0, 4.0), threshold=threshold)
+        iv = build_integral(volume)
+        points = [(p.x, p.y, p.t, p.sigma_s, p.sigma_t, p.response) for p in detect(iv, config)]
+        assert points
+        assert points == full_field_detect(iv, config)
+
+    def test_one_voxel_box_of_zeros_has_no_point(self):
+        # The (3.0, 1.0) filters fit at the centre voxel only, where the response is 0.
+        iv = build_integral(FrameVolume(frames=np.zeros((9, 21, 21)), frame_rate=10.0))
+        config = DetectorConfig(spatial_scales=(3.0,), temporal_scales=(1.0,), threshold=-1.0)
+        assert detect(iv, config) == full_field_detect(iv, config) == []
+
     def test_constant_volume_empty(self):
         iv = build_integral(FrameVolume(frames=np.full((16, 32, 32), 0.3), frame_rate=10.0))
         assert detect(iv, SMALL_LADDER) == []

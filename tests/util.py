@@ -6,15 +6,74 @@ instead of integral tables, subgradient descent instead of coordinate descent.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from bofsent.prosody import PcmSignal
-from bofsent.video import FrameVolume
+from bofsent.video import FrameVolume, hessian_response_field
 
 
 def tone(freq: float, duration: float, sample_rate: int = 16000, amplitude: float = 0.5) -> PcmSignal:
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
     return PcmSignal(samples=amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate=sample_rate)
+
+
+def interp_salience(
+    block: np.ndarray,
+    sample_rate: int,
+    f0_min: float,
+    f0_max: float,
+    n_harmonics: int,
+    compression: float = 0.85,
+    bins_per_octave: int = 48,
+) -> float:
+    """Subharmonic-summation salience of one block, read off the spectrum with np.interp.
+
+    np.interp holds the last (Nyquist) bin for harmonics beyond it.
+    """
+    nfft = 1 << max(11, int(4 * block.size - 1).bit_length())
+    spectrum = np.abs(np.fft.rfft(block, nfft))
+    freqs = np.arange(spectrum.size) * (sample_rate / nfft)
+    n_steps = int(np.floor(np.log2(f0_max / f0_min) * bins_per_octave))
+    grid = f0_min * 2.0 ** (np.arange(n_steps + 1) / bins_per_octave)
+    if grid[-1] < f0_max - 1e-9:
+        grid = np.append(grid, f0_max)
+    scores = sum(
+        compression ** (h - 1) * np.interp(h * grid, freqs, spectrum) for h in range(1, n_harmonics + 1)
+    )
+    return float(scores.max())
+
+
+def full_field_detect(iv, config) -> list[tuple]:
+    """(x, y, t, sigma_s, sigma_t, response) of each strict maximum of |det H| over space, time and scale.
+
+    Every field spans the whole volume (zero where its filters do not fit),
+    the volume is padded with -1, and points are ordered as ``video.detect``
+    orders them.
+    """
+    fields = {
+        (si, ti): np.abs(hessian_response_field(iv, sigma_s, sigma_t))
+        for si, sigma_s in enumerate(config.spatial_scales)
+        for ti, sigma_t in enumerate(config.temporal_scales)
+    }
+    found = []
+    for (si, ti), field in fields.items():
+        t_len, h_len, w_len = field.shape
+        padded = np.pad(field, 1, constant_values=-1.0)
+        mask = field > config.threshold
+        for dt, dy, dx in itertools.product((-1, 0, 1), repeat=3):
+            if dt or dy or dx:
+                mask &= field > padded[1 + dt : 1 + dt + t_len, 1 + dy : 1 + dy + h_len, 1 + dx : 1 + dx + w_len]
+        for dsi, dti in itertools.product((-1, 0, 1), repeat=2):
+            if (dsi or dti) and (si + dsi, ti + dti) in fields:
+                mask &= field > fields[si + dsi, ti + dti]
+        found += [(-field[t, y, x], si, ti, int(t), int(y), int(x)) for t, y, x in np.argwhere(mask)]
+    found.sort()
+    return [
+        (x, y, t, config.spatial_scales[si], config.temporal_scales[ti], -neg)
+        for neg, si, ti, t, y, x in found
+    ]
 
 
 def blob_volume(

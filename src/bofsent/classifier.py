@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
+
 SVM_MAGIC = b"SVM1"
 _SVM_HEADER = struct.Struct("<4sIdddd")
 
@@ -224,7 +226,7 @@ def cross_validate_C(
 
 
 def write_svm_model(path: str | Path, model: LinearSvmModel) -> None:
-    with Path(path).open("wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(
             _SVM_HEADER.pack(SVM_MAGIC, model.dim, model.b, model.C, model.score_min, model.score_max)
         )

@@ -4,6 +4,13 @@ The codebook is a diagonal-covariance mixture fit by expectation-maximization
 after a k-means++ seeded k-means warm start. Encoding a descriptor set means
 averaging component posteriors over its rows, producing one simplex vector
 per segment.
+
+EM, the log-likelihood, k-means assignment and encoding walk their rows in
+blocks of ``BLOCK`` rows. A block's log joint is one matrix product of
+``[x², x]`` against a ``(2·dim, K)`` parameter matrix, and EM accumulates its
+sufficient statistics (N_k, Σγx, Σγx²) block by block, so working memory
+grows with ``BLOCK * K``, not with the sample. The block size is fixed, so
+results do not depend on anything but the inputs.
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import Polarity
 from .descriptors import DescriptorSet
 
@@ -28,6 +36,18 @@ _TAG_MODALITIES = {v: k for k, v in _MODALITY_TAGS.items()}
 
 _WEIGHT_FLOOR = 1e-12
 _KMEANS_WARMUP_ITERS = 10
+
+# Rows per block in EM, log-likelihood, k-means and encoding: 2 MB of (BLOCK, K)
+# float64 posteriors at K=256. 2048 rows was slightly faster, but its 2 MB block of
+# 64-d [x², x] features, once freed, raised glibc's malloc mmap threshold, so
+# the next extraction's arrays stayed resident on the heap (+4 MB peak RSS).
+BLOCK = 1024
+
+# The log joint less its row maximum is clamped at _LOG_FLOOR before exp, so
+# every posterior is at least exp(-600) ~ 3e-261 times its row's largest. That
+# is far below the rounding of the row's sum, and it keeps exp and the M-step
+# matrix product off subnormal numbers, which slow them by an order of magnitude.
+_LOG_FLOOR = -600.0
 
 
 @dataclass(eq=False)
@@ -120,32 +140,54 @@ def sample_balanced(
     return np.concatenate(parts, axis=0, dtype=np.float64)  # no float32 copy of the whole sample
 
 
-def _log_joint(codebook: GmmCodebook, data: np.ndarray) -> np.ndarray:
-    """log(weight_k * N(x_n; mean_k, var_k)) for every row/component pair."""
+def _joint_terms(codebook: GmmCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """``(matrix, const)`` with log(weight_k * N(x; mean_k, var_k)) = ``[x², x] @ matrix + const``.
+
+    ``matrix`` is ``(2·dim, K)``: ``-1/(2 var)`` over ``mean/var``.
+    """
     inv = 1.0 / codebook.variances
-    const = (
-        -0.5 * (codebook.dim * math.log(2.0 * math.pi) + np.log(codebook.variances).sum(axis=1))
-        + np.log(codebook.weights)
-    )
-    maha = (
-        (data * data) @ inv.T
-        - 2.0 * data @ (codebook.means * inv).T
+    matrix = np.ascontiguousarray(np.concatenate([-0.5 * inv, codebook.means * inv], axis=1).T)
+    const = np.log(codebook.weights) - 0.5 * (
+        codebook.dim * math.log(2.0 * math.pi)
+        + np.log(codebook.variances).sum(axis=1)
         + (codebook.means * codebook.means * inv).sum(axis=1)
     )
-    return const[None, :] - 0.5 * maha
+    return matrix, const
 
 
-def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
-    peak = values.max(axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
+def _block_posteriors(
+    rows: np.ndarray, matrix: np.ndarray, const: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features ``[x², x]``, component posteriors and per-row log normalisers of one row block.
+
+    The log joint is one matrix product; the posteriors are computed in place
+    over it with a single ``exp``, floored at ``exp(_LOG_FLOOR)`` times the
+    row's largest. A row's log normaliser is the log-sum-exp of its joint,
+    i.e. the row's log-likelihood.
+    """
+    dim = rows.shape[1]
+    feats = np.empty((rows.shape[0], 2 * dim))
+    feats[:, dim:] = rows
+    np.square(feats[:, dim:], out=feats[:, :dim])
+    post = feats @ matrix
+    post += const
+    peak = post.max(axis=1, keepdims=True)
+    post -= peak
+    np.maximum(post, _LOG_FLOOR, out=post)
+    np.exp(post, out=post)
+    total = post.sum(axis=1, keepdims=True)
+    post /= total
+    return feats, post, peak[:, 0] + np.log(total[:, 0])
 
 
 def loglik(codebook: GmmCodebook, data: np.ndarray) -> float:
     """Total log-likelihood of the rows under the mixture (log-sum-exp, no underflow)."""
     data = _as_matrix(data, codebook.dim)
-    if data.shape[0] == 0:
-        return 0.0
-    return float(_logsumexp_rows(_log_joint(codebook, data)).sum())
+    terms = _joint_terms(codebook)
+    norms = np.empty(data.shape[0])
+    for start in range(0, data.shape[0], BLOCK):
+        norms[start : start + BLOCK] = _block_posteriors(data[start : start + BLOCK], *terms)[2]
+    return float(norms.sum())
 
 
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -158,26 +200,41 @@ def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]))
+    # Distances are exact sums of (x - c)²: duplicates of a center must read 0,
+    # which the "distinct rows" check depends on.
+    n, dim = data.shape
+    centers = np.empty((k, dim))
     centers[0] = data[rng.integers(n)]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
+    diff = np.empty((min(n, BLOCK), dim))
     for i in range(1, k):
+        for start in range(0, n, BLOCK):
+            m = min(BLOCK, n - start)
+            np.subtract(data[start : start + m], centers[i - 1], out=diff[:m])
+            dist = np.einsum("ij,ij->i", diff[:m], diff[:m])
+            np.minimum(d2[start : start + m], dist, out=d2[start : start + m])
         total = d2.sum()
         if total <= 0.0:
             raise ValueError(f"fewer than {k} distinct rows; cannot place {k} components")
         centers[i] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((data - centers[i]) ** 2).sum(axis=1))
     return centers
 
 
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        (data * data).sum(axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return d2.argmin(axis=1)
+    """Index of the nearest center for each row: argmin of |c|² - 2 x·c, block by block."""
+    neg_twice = -2.0 * centers.T
+    norms = (centers * centers).sum(axis=1)
+    assign = np.empty(data.shape[0], dtype=np.intp)
+    for start in range(0, data.shape[0], BLOCK):
+        d2 = data[start : start + BLOCK] @ neg_twice
+        d2 += norms
+        assign[start : start + BLOCK] = d2.argmin(axis=1)
+    return assign
+
+
+def _cluster_sums(assign: np.ndarray, columns, k: int) -> np.ndarray:
+    """``(k, number of columns)`` per-cluster sums of each of the 1-D ``columns``."""
+    return np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
 
 
 def initialize_codebook(
@@ -198,15 +255,13 @@ def initialize_codebook(
     for _ in range(_KMEANS_WARMUP_ITERS):
         assign = _assign(data, centers)
         counts = np.bincount(assign, minlength=n_components)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, data)
+        sums = _cluster_sums(assign, data.T, n_components)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
 
     assign = _assign(data, centers)
     counts = np.bincount(assign, minlength=n_components)
-    sq_sums = np.zeros_like(centers)
-    np.add.at(sq_sums, assign, data * data)
+    sq_sums = _cluster_sums(assign, (col * col for col in data.T), n_components)
     global_var = np.maximum(data.var(axis=0), variance_floor)
     variances = np.tile(global_var, (n_components, 1))
     nonempty = counts > 0
@@ -225,22 +280,28 @@ def em_step(
 
     Returns the updated codebook and the log-likelihood of the data under the
     *incoming* parameters, so consecutive returned values are nondecreasing.
+    The sufficient statistics N_k, Σγx and Σγx² are accumulated over blocks
+    of ``BLOCK`` rows.
     """
     data = _as_matrix(data, codebook.dim)
-    n = data.shape[0]
-    joint = _log_joint(codebook, data)
-    norm = _logsumexp_rows(joint)
-    resp = np.exp(joint - norm[:, None])
+    n, dim = data.shape
+    terms = _joint_terms(codebook)
+    nk = np.zeros(codebook.n_components)
+    stats = np.zeros((codebook.n_components, 2 * dim))  # [Σγx², Σγx] per component
+    norms = np.empty(n)
+    for start in range(0, n, BLOCK):
+        rows = data[start : start + BLOCK]
+        feats, resp, norms[start : start + BLOCK] = _block_posteriors(rows, *terms)
+        nk += resp.sum(axis=0)
+        stats += resp.T @ feats
 
-    nk = resp.sum(axis=0)
-    safe = np.maximum(nk, _WEIGHT_FLOOR)
-    means = (resp.T @ data) / safe[:, None]
-    second = (resp.T @ (data * data)) / safe[:, None]
-    variances = np.maximum(second - means * means, variance_floor)
+    safe = np.maximum(nk, _WEIGHT_FLOOR)[:, None]
+    means = stats[:, dim:] / safe
+    variances = np.maximum(stats[:, :dim] / safe - means * means, variance_floor)
     weights = np.maximum(nk / n, _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     updated = GmmCodebook(weights=weights, means=means, variances=variances, modality=codebook.modality)
-    return updated, float(norm.sum())
+    return updated, float(norms.sum())
 
 
 def fit_gmm(
@@ -258,9 +319,9 @@ def fit_gmm(
     Runs ``n_init`` seeded restarts and keeps the one with the highest final
     log-likelihood, guarding against bad initializations. Each run stops after
     ``max_iters`` iterations or when the relative log-likelihood gain drops
-    below ``tol``. The variance floor is
-    ``variance_floor_scale * mean(per-dimension data variance)``. Identical
-    seeds and data give bit-identical codebooks.
+    below ``tol``; each restart and the kept one are logged at INFO. The
+    variance floor is ``variance_floor_scale * mean(per-dimension data
+    variance)``. Identical seeds and data give bit-identical codebooks.
     """
     data = _as_matrix(data)
     if n_components < 1:
@@ -279,19 +340,30 @@ def fit_gmm(
 
     best: GmmCodebook | None = None
     best_ll = -np.inf
+    best_restart = 0
     for restart in range(n_init):
         codebook = initialize_codebook(
             data, n_components, [seed, restart], variance_floor, modality
         )
         previous = -np.inf
         ll = -np.inf
-        for _ in range(max_iters):
+        stop = "max_iters"
+        iters = 0
+        for iters in range(1, max_iters + 1):
             codebook, ll = em_step(codebook, data, variance_floor)
             if np.isfinite(previous) and ll - previous < tol * abs(previous):
+                stop = "tol"
                 break
             previous = ll
+        logger.info(
+            "%s codebook (K=%d) restart %d/%d: %d EM iterations, log-likelihood %.6f, stopped on %s",
+            modality, n_components, restart + 1, n_init, iters, ll, stop,
+        )
         if ll > best_ll:
-            best, best_ll = codebook, ll
+            best, best_ll, best_restart = codebook, ll, restart
+    logger.info(
+        "%s codebook: kept restart %d/%d (log-likelihood %.6f)", modality, best_restart + 1, n_init, best_ll
+    )
     assert best is not None
     return best
 
@@ -299,24 +371,29 @@ def fit_gmm(
 def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     """Average the per-descriptor component posteriors into one simplex vector.
 
-    The result is independent of descriptor order (exact, via compensated
-    column sums). Empty sets encode to the all-zero vector and are flagged
-    through ``n_descriptors``.
+    The distinct descriptor rows are put in sorted order (``np.unique``) and
+    their posteriors, computed ``BLOCK`` rows at a time, are summed weighted
+    by each row's count. The result is therefore bit-for-bit independent of
+    descriptor order, even though a matrix product may round a row
+    differently depending on where in the block it sits. Empty sets encode to
+    the all-zero vector and are flagged through ``n_descriptors``.
     """
     if dset.dim != codebook.dim:
         raise ValueError(f"dimension mismatch: descriptors {dset.dim}, codebook {codebook.dim}")
     n = len(dset)
+    pooled = np.zeros(codebook.n_components)
     if n == 0:
-        return MidLevelVector(values=np.zeros(codebook.n_components), segment_id=dset.segment_id, n_descriptors=0)
-    data = dset.descriptors.astype(np.float64)
-    joint = _log_joint(codebook, data)
-    post = np.exp(joint - _logsumexp_rows(joint)[:, None])
-    pooled = np.array([math.fsum(post[:, k]) for k in range(codebook.n_components)]) / n
-    return MidLevelVector(values=pooled, segment_id=dset.segment_id, n_descriptors=n)
+        return MidLevelVector(values=pooled, segment_id=dset.segment_id, n_descriptors=0)
+    rows, counts = np.unique(dset.descriptors, axis=0, return_counts=True)
+    terms = _joint_terms(codebook)
+    for start in range(0, rows.shape[0], BLOCK):
+        post = _block_posteriors(rows[start : start + BLOCK], *terms)[1]
+        pooled += counts[start : start + BLOCK].astype(np.float64) @ post
+    return MidLevelVector(values=pooled / n, segment_id=dset.segment_id, n_descriptors=n)
 
 
 def write_codebook(path: str | Path, codebook: GmmCodebook) -> None:
-    with Path(path).open("wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(
             _CODEBOOK_HEADER.pack(
                 CODEBOOK_MAGIC, codebook.n_components, codebook.dim, _MODALITY_TAGS[codebook.modality]

@@ -1,12 +1,13 @@
 """Binary storage for per-segment descriptor matrices (shared by both modalities)."""
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_open
 
 DESCRIPTOR_MAGIC = b"DSC1"
 DESCRIPTOR_VERSION = 1
@@ -46,15 +47,8 @@ def _write_payload(fh, dset: DescriptorSet) -> None:
 
 def write_descriptors(path: str | Path, dset: DescriptorSet) -> None:
     """Write atomically: ``path`` is either absent, its old content or the whole new file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            _write_payload(fh, dset)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as fh:
+        _write_payload(fh, dset)
 
 
 def read_descriptors(path: str | Path) -> DescriptorSet:

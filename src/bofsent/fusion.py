@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import atomic
 from .corpus import Polarity
 
 THETA_GRID_STEP = 0.2
@@ -121,7 +122,7 @@ def grid_search_theta(
 def write_scores(path: str | Path, rows: Iterable[tuple[str, str, float]]) -> None:
     """Write (segment_id, modality, score) records, one tab-separated line each."""
     lines = [f"{seg_id}\t{modality}\t{score!r}" for seg_id, modality, score in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    atomic.write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_scores(path: str | Path) -> list[tuple[str, str, float]]:

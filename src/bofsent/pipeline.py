@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier, codebook, fusion, metrics
+from . import atomic, classifier, codebook, fusion, metrics
 from .config import PipelineConfig, derive_seed, extract_hash, train_hash
 from .corpus import Manifest, Polarity, filter_split
 from .descriptors import DescriptorSet, read_descriptors, write_descriptors
@@ -72,7 +72,7 @@ def _save_state(out_dir: Path, state: dict) -> None:
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    atomic.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +350,14 @@ def _fuse_and_write(
         )
     path = out_dir / "predictions" / f"{name}.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic.write_text(path, "\n".join(lines) + "\n")
     return fused, path
 
 
 def _write_report(reports_dir: Path, name: str, report: metrics.MetricReport, title: str) -> Path:
     path = reports_dir / f"{name}.json"
     _write_json(path, report.to_dict())
-    path.with_suffix(".txt").write_text(metrics.format_report(report, title=title), encoding="utf-8")
+    atomic.write_text(path.with_suffix(".txt"), metrics.format_report(report, title=title))
     return path
 
 

@@ -2,9 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bofsent.codebook import (
+    BLOCK,
     GmmCodebook,
+    _assign,
     encode,
     em_step,
     fit_gmm,
@@ -16,7 +20,14 @@ from bofsent.codebook import (
 )
 from bofsent.corpus import Polarity
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
-from util import direct_loglik, direct_posterior
+from util import (
+    direct_loglik,
+    direct_posterior,
+    unblocked_em_step,
+    unblocked_encode,
+    unblocked_log_joint,
+    unblocked_logsumexp_rows,
+)
 
 
 def _dset(seg_id, rows):
@@ -124,10 +135,37 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="degenerate|distinct"):
             fit_gmm(np.ones((50, 2)), 2, seed=0)
 
-    def test_more_components_than_distinct_rows(self):
-        data = np.vstack([np.zeros((20, 2)), np.ones((20, 2))])  # 2 distinct rows
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[0.0, 0.0], [1.0, 1.0]]),
+            # not dyadic: an expanded |x|² - 2x·c + |c|² leaves rounding noise where a
+            # duplicate's distance must be exactly 0
+            np.random.default_rng(0).normal(0.0, 3.0, (2, 4)),
+        ],
+        ids=["zeros-ones", "random"],
+    )
+    def test_more_components_than_distinct_rows(self, rows):
+        data = np.repeat(rows, 20, axis=0)  # 2 distinct rows
         with pytest.raises(ValueError, match="distinct"):
             fit_gmm(data, 3, seed=0)
+
+    def test_each_restart_logged(self, caplog):
+        rng = np.random.default_rng(3)
+        data = np.vstack([rng.normal(0.0, 1.0, (200, 2)), rng.normal(6.0, 1.0, (200, 2))])
+        with caplog.at_level(logging.INFO, logger="bofsent.codebook"):
+            book = fit_gmm(data, 2, seed=1, max_iters=200, n_init=3)
+            capped = fit_gmm(data, 2, seed=1, max_iters=1, n_init=2)
+        assert isinstance(book, GmmCodebook) and isinstance(capped, GmmCodebook)
+        messages = [rec.getMessage() for rec in caplog.records]
+        restarts = [m for m in messages if "EM iterations" in m]
+        kept = [m for m in messages if "kept restart" in m]
+        assert len(restarts) == 5 and len(kept) == 2
+        assert all("stopped on tol" in m for m in restarts[:3])
+        assert all("1 EM iterations" in m and "stopped on max_iters" in m for m in restarts[3:])
+        final = [float(m.split("log-likelihood ")[1].split(",")[0]) for m in restarts[:3]]
+        best = int(np.argmax(final))
+        assert f"kept restart {best + 1}/3 (log-likelihood {final[best]:.6f})" in kept[0]
 
     def test_monotone_loglik_fuzz(self):
         rng = np.random.default_rng(4)
@@ -158,6 +196,55 @@ class TestFitGmm:
             assert (book.variances >= floor - 1e-15).all()
         fitted = fit_gmm(data, 3, seed=0, variance_floor_scale=floor_scale)
         assert (fitted.variances >= floor - 1e-15).all()
+
+
+def _mixture_rows(rng, book, n):
+    """n rows drawn from the components of ``book``."""
+    comps = rng.choice(book.n_components, size=n, p=book.weights)
+    return book.means[comps] + rng.normal(0.0, 1.0, (n, book.dim)) * np.sqrt(book.variances[comps])
+
+
+class TestBlocks:
+    """The blocked kernels against the former all-rows-at-once formulas, around block boundaries."""
+
+    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_em_step_matches_unblocked(self, n):
+        rng = np.random.default_rng(n)
+        book = _random_codebook(rng, k=5, dim=3)
+        data = _mixture_rows(rng, book, n)
+        floor = 1e-3
+        updated, ll = em_step(book, data, floor)
+        weights, means, variances, expected_ll = unblocked_em_step(
+            book.weights, book.means, book.variances, data, floor
+        )
+        np.testing.assert_allclose(updated.weights, weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(updated.means, means, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(updated.variances, variances, rtol=1e-12, atol=0)
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_loglik_and_encode_match_unblocked(self, n):
+        rng = np.random.default_rng(100 + n)
+        book = _random_codebook(rng, k=5, dim=3)
+        rows = _mixture_rows(rng, book, n).astype(np.float32)
+        joint = unblocked_log_joint(book.weights, book.means, book.variances, rows.astype(np.float64))
+        expected_ll = float(unblocked_logsumexp_rows(joint).sum())
+        assert loglik(book, rows) == pytest.approx(expected_ll, rel=1e-12, abs=0)
+        pooled = encode(book, DescriptorSet("s", rows)).values
+        expected = unblocked_encode(book.weights, book.means, book.variances, rows)
+        np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_assign_matches_brute_force_argmin(self, n):
+        rng = np.random.default_rng(200 + n)
+        centers = rng.normal(0.0, 2.0, (7, 4))
+        data = rng.normal(0.0, 2.0, (n, 4))
+        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.sort(d2, axis=1)
+        assert (nearest[:, 1] - nearest[:, 0] > 1e-6).all(), "test data must have no near ties"
+        assert np.array_equal(_assign(data, centers), d2.argmin(axis=1))
 
 
 class TestLoglik:
@@ -247,6 +334,32 @@ class TestEncode:
         vector = encode(book, DescriptorSet("s", np.empty((0, 3), dtype=np.float32)))
         assert vector.is_empty
         assert np.all(vector.values == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        dim=st.integers(1, 8),
+        n=st.one_of(st.just(1), st.integers(2, 60), st.integers(BLOCK + 1, BLOCK + 40)),
+        distinct_frac=st.floats(0.0, 1.0),
+    )
+    # One row alone in the last block: a matrix product may round it differently
+    # from the same row inside a larger block.
+    @example(seed=1, k=20, dim=1, n=BLOCK + 1, distinct_frac=1.0)
+    def test_pooling_properties(self, seed, k, dim, n, distinct_frac):
+        rng = np.random.default_rng(seed)
+        book = _random_codebook(rng, k=k, dim=dim)
+        distinct = rng.normal(0.0, 2.0, (max(1, int(round(distinct_frac * n))), dim)).astype(np.float32)
+        rows = distinct[rng.integers(len(distinct), size=n)]  # repeats whenever distinct < n
+        pooled = encode(book, DescriptorSet("s", rows)).values
+        shuffled = encode(book, DescriptorSet("s", rows[rng.permutation(n)])).values
+        assert np.array_equal(pooled, shuffled)
+        assert abs(pooled.sum() - 1.0) <= 1e-9
+        expected = np.mean(
+            [direct_posterior(book.weights, book.means, book.variances, row.astype(np.float64)) for row in rows],
+            axis=0,
+        )
+        assert np.abs(pooled - expected).max() <= 1e-9
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)

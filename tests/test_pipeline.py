@@ -1,9 +1,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from bofsent import cli, descriptors, pipeline
+from bofsent import atomic, cli, descriptors, fusion, pipeline
+from bofsent.classifier import LinearSvmModel, write_svm_model
+from bofsent.codebook import GmmCodebook, write_codebook
 from bofsent.config import (
     PipelineConfig,
     config_from_dict,
@@ -14,7 +17,7 @@ from bofsent.config import (
     train_hash,
 )
 from bofsent.corpus import Manifest, Polarity, Segment, load_manifest, save_manifest
-from bofsent.descriptors import read_descriptors
+from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
 from bofsent.fusion import ScorePair, read_scores, score_level_fuse
 from bofsent.prosody import ProsodyConfig
 from bofsent.synth import SynthConfig, generate_corpus
@@ -161,6 +164,65 @@ class TestExtract:
         assert second.ok
         assert second.extracted == [f"audio:{victim}"]
         assert len(read_descriptors(pipeline.descriptor_path(out, "audio", victim))) > 0
+
+
+def _codebook(scale):
+    return GmmCodebook(
+        weights=np.full(2, 0.5), means=scale * np.ones((2, 3)), variances=np.ones((2, 3)), modality="video"
+    )
+
+
+def _svm(scale):
+    return LinearSvmModel(w=scale * np.ones(4), b=scale, C=1.0, score_min=-1.0, score_max=1.0)
+
+
+# Each artifact writer, with an old and a new payload.
+ARTIFACT_WRITERS = {
+    "codebook": (write_codebook, _codebook(1.0), _codebook(2.0)),
+    "svm": (write_svm_model, _svm(1.0), _svm(2.0)),
+    "descriptors": (
+        write_descriptors,
+        DescriptorSet("s", np.zeros((3, 2), dtype=np.float32)),
+        DescriptorSet("s", np.ones((5, 2), dtype=np.float32)),
+    ),
+    "scores": (fusion.write_scores, [("s", "audio", 0.25)], [("s", "audio", 0.75), ("s", "video", 0.5)]),
+    "json": (pipeline._write_json, {"theta": 0.2}, {"theta": 0.8, "split": "validation"}),
+    "text": (atomic.write_text, "old report\n", "new report, longer than the old one\n"),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", sorted(ARTIFACT_WRITERS))
+    def test_failed_write_keeps_previous_file(self, kind, tmp_path, monkeypatch):
+        write, old, new = ARTIFACT_WRITERS[kind]
+        path = tmp_path / "artifact"
+        write(path, old)
+        before = path.read_bytes()
+
+        class DiesAfterFourBytes:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:4])
+                raise OSError("simulated crash")
+
+        monkeypatch.setattr(atomic, "open", lambda p, mode: DiesAfterFourBytes(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="simulated crash"):
+            write(path, new)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+        monkeypatch.undo()
+        write(path, new)
+        assert path.read_bytes() != before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
 
 
 class TestTrain:

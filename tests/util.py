@@ -3,10 +3,13 @@
 Oracles here must stay naive and independent of the library code paths they
 check: direct density products instead of log-sum-exp, brute-force sums
 instead of integral tables, subgradient descent instead of coordinate descent.
+The ``unblocked_*`` functions keep the codebook's former all-rows-at-once
+formulas (two exps, exact column sums) as the reference for its blocked kernels.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -123,6 +126,40 @@ def direct_loglik(weights, means, variances, data) -> float:
         )
         total += np.log(densities.sum())
     return float(total)
+
+
+def unblocked_log_joint(weights, means, variances, data) -> np.ndarray:
+    """log(weight_k * N(x_n; mean_k, var_k)) for every row/component pair, all rows at once."""
+    inv = 1.0 / variances
+    const = -0.5 * (means.shape[1] * math.log(2.0 * math.pi) + np.log(variances).sum(axis=1)) + np.log(weights)
+    maha = (data * data) @ inv.T - 2.0 * data @ (means * inv).T + (means * means * inv).sum(axis=1)
+    return const[None, :] - 0.5 * maha
+
+
+def unblocked_logsumexp_rows(values: np.ndarray) -> np.ndarray:
+    peak = values.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
+
+
+def unblocked_em_step(weights, means, variances, data, variance_floor, weight_floor=1e-12):
+    """One EM iteration over all rows at once: (weights, means, variances, incoming log-likelihood)."""
+    joint = unblocked_log_joint(weights, means, variances, data)
+    norm = unblocked_logsumexp_rows(joint)
+    resp = np.exp(joint - norm[:, None])
+    nk = resp.sum(axis=0)
+    safe = np.maximum(nk, weight_floor)
+    new_means = (resp.T @ data) / safe[:, None]
+    second = (resp.T @ (data * data)) / safe[:, None]
+    new_variances = np.maximum(second - new_means * new_means, variance_floor)
+    new_weights = np.maximum(nk / data.shape[0], weight_floor)
+    return new_weights / new_weights.sum(), new_means, new_variances, float(norm.sum())
+
+
+def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
+    """Mean component posterior of the rows, each column summed exactly with math.fsum."""
+    joint = unblocked_log_joint(weights, means, variances, np.asarray(rows, dtype=np.float64))
+    post = np.exp(joint - unblocked_logsumexp_rows(joint)[:, None])
+    return np.array([math.fsum(column) for column in post.T]) / post.shape[0]
 
 
 def hinge_objective(w, b, X, y, C) -> float:

@@ -154,10 +154,6 @@ def decision_distances(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
     return (X @ model.w + model.b) / norm
 
 
-def decision_distance(model: LinearSvmModel, x: np.ndarray) -> float:
-    return float(decision_distances(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def normalize_score(model: LinearSvmModel, distance) -> np.ndarray:
     """Min-max map of distances onto [0, 1] using the training-set bounds, clamped."""
     scaled = (np.asarray(distance, dtype=np.float64) - model.score_min) / (

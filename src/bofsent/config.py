@@ -42,16 +42,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.fusion_mode not in ("score", "output"):
             raise ValueError(f"fusion_mode must be 'score' or 'output', got {self.fusion_mode!r}")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta {self.theta} outside [0, 1]")
+        if self.theta is not None:
+            fusion.check_theta(self.theta)
         if not 0.0 < self.theta_grid_step <= 1.0:
             raise ValueError(f"theta_grid_step {self.theta_grid_step} outside (0, 1]")
-
-    def c_grid(self) -> tuple[float, ...]:
-        return classifier.c_grid(self.c_exponent_min, self.c_exponent_max)
-
-    def theta_candidates(self) -> tuple[float, ...]:
-        return fusion.theta_candidates(self.theta_grid_step)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:

@@ -3,15 +3,18 @@
 Two schemes: a weighted average of the two scores thresholded at (1 - theta),
 with theta searched on a fixed grid against the class-balanced error; and a
 ternary quantize-sum-rescale scheme whose fused score lives on five levels.
+Scores are (n,) float arrays in [0, 1], one entry per segment, and labels are
+(n,) bool arrays with True for positive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import atomic
-from .corpus import Polarity
+from .metrics import confusion, unit_interval
 
 THETA_GRID_STEP = 0.2
 
@@ -31,26 +34,10 @@ THETA_CANDIDATES = theta_candidates()
 THETA_GRID = tuple(theta for theta in THETA_CANDIDATES if theta != 0.5)
 
 
-@dataclass(frozen=True)
-class ScorePair:
-    """Per-segment confidence scores from both modalities, optionally labelled."""
-
-    segment_id: str
-    video_score: float
-    audio_score: float
-    truth: Polarity | None = None
-
-    def __post_init__(self):
-        for name, score in (("video_score", self.video_score), ("audio_score", self.audio_score)):
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{name} {score} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class FusedPrediction:
-    segment_id: str
-    fused_score: float
-    label: Polarity
+def check_theta(theta: float) -> None:
+    """Reject a fusion weight outside [0, 1]."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta {theta} outside [0, 1]")
 
 
 def fusion_threshold(theta: float) -> float:
@@ -58,55 +45,56 @@ def fusion_threshold(theta: float) -> float:
     return 1.0 - theta
 
 
-def score_level_fuse(pair: ScorePair, theta: float) -> FusedPrediction:
-    """Weighted average of the two scores, positive when strictly above (1 - theta)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta {theta} outside [0, 1]")
-    fused = theta * pair.video_score + (1.0 - theta) * pair.audio_score
-    label = Polarity.POSITIVE if fused > fusion_threshold(theta) else Polarity.NEGATIVE
-    return FusedPrediction(segment_id=pair.segment_id, fused_score=fused, label=label)
+def _scores(audio: np.ndarray, video: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    video = unit_interval("video_score", video)
+    audio = unit_interval("audio_score", audio)
+    if audio.shape != video.shape or audio.ndim != 1:
+        raise ValueError(f"score shapes {audio.shape} and {video.shape} are not one (n,) pair")
+    return audio, video
 
 
-def ternary_quantize(score: float) -> int:
+def score_level_fuse(audio: np.ndarray, video: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted average of the two scores, positive when strictly above (1 - theta).
+
+    Returns the fused scores and the positive labels.
+    """
+    check_theta(theta)
+    audio, video = _scores(audio, video)
+    fused = theta * video + (1.0 - theta) * audio
+    return fused, fused > fusion_threshold(theta)
+
+
+def ternary_quantize(scores: np.ndarray | float) -> np.ndarray:
     """Uniform three-way binning of [0, 1] onto {-1, 0, +1}."""
-    if score < 1.0 / 3.0:
-        return -1
-    if score < 2.0 / 3.0:
-        return 0
-    return 1
+    return np.digitize(scores, (1.0 / 3.0, 2.0 / 3.0)) - 1
 
 
-def output_level_fuse(pair: ScorePair) -> FusedPrediction:
-    """Sum the two ternary-quantized scores and rescale onto {0, .25, .5, .75, 1}."""
-    q_sum = ternary_quantize(pair.video_score) + ternary_quantize(pair.audio_score)
-    fused = (q_sum + 2) / 4.0
-    label = Polarity.POSITIVE if fused > 0.5 else Polarity.NEGATIVE
-    return FusedPrediction(segment_id=pair.segment_id, fused_score=fused, label=label)
+def output_level_fuse(audio: np.ndarray, video: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the two ternary-quantized scores and rescale onto {0, .25, .5, .75, 1}.
+
+    Returns the fused scores and the positive labels.
+    """
+    audio, video = _scores(audio, video)
+    fused = (ternary_quantize(video) + ternary_quantize(audio) + 2) / 4.0
+    return fused, fused > 0.5
 
 
-def classification_error(labelled: Sequence[tuple[Polarity, Polarity]]) -> float:
-    """Mean of the two per-class error rates over (truth, predicted) pairs."""
-    per_class = {}
-    for cls in (Polarity.POSITIVE, Polarity.NEGATIVE):
-        members = [(truth, pred) for truth, pred in labelled if truth is cls]
+def classification_error(truth: np.ndarray, predicted: np.ndarray) -> float:
+    """Mean of the two per-class error rates of bool ``predicted`` labels against ``truth``."""
+    cm = confusion(predicted, truth)
+    for name, members in (("positive", cm.tp + cm.fn), ("negative", cm.fp + cm.tn)):
         if not members:
-            raise ValueError(f"class {cls.name.lower()} absent from ground truth")
-        per_class[cls] = sum(1 for truth, pred in members if truth is not pred) / len(members)
-    return (per_class[Polarity.POSITIVE] + per_class[Polarity.NEGATIVE]) / 2.0
+            raise ValueError(f"class {name} absent from ground truth")
+    return (cm.fn / (cm.tp + cm.fn) + cm.fp / (cm.fp + cm.tn)) / 2.0
 
 
-def evaluate_theta(pairs: Sequence[ScorePair], theta: float) -> float:
+def evaluate_theta(audio: np.ndarray, video: np.ndarray, truth: np.ndarray, theta: float) -> float:
     """Class-balanced error of score-level fusion at one weight."""
-    labelled = []
-    for pair in pairs:
-        if pair.truth is None:
-            raise ValueError(f"segment {pair.segment_id} lacks ground truth")
-        labelled.append((pair.truth, score_level_fuse(pair, theta).label))
-    return classification_error(labelled)
+    return classification_error(truth, score_level_fuse(audio, video, theta)[1])
 
 
 def grid_search_theta(
-    pairs: Sequence[ScorePair], candidates: Sequence[float] = THETA_CANDIDATES
+    audio: np.ndarray, video: np.ndarray, truth: np.ndarray, candidates: Sequence[float] = THETA_CANDIDATES
 ) -> float:
     """Pick the weight minimizing the class-balanced error over the candidates.
 
@@ -114,7 +102,8 @@ def grid_search_theta(
     candidates) and then toward the larger weight.
     """
     ranked = sorted(
-        (evaluate_theta(pairs, theta), abs(theta - 0.5), -theta, theta) for theta in candidates
+        (evaluate_theta(audio, video, truth, theta), abs(theta - 0.5), -theta, theta)
+        for theta in candidates
     )
     return ranked[0][3]
 

@@ -1,6 +1,9 @@
 """Evaluation metrics: confusion counts, precision/recall/F1, MAE, correlation,
 multiclass accuracies, and the confidence-to-sentiment linear scaling.
 
+Labels are (n,) bool arrays with True for positive; confidences and
+sentiments are (n,) float arrays.
+
 Degenerate cases (no predicted positives, constant correlation inputs) never
 abort a run: report assembly records them as flags and substitutes zeros.
 """
@@ -10,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .corpus import Polarity
 
 SENTIMENT_SPAN = 6.0  # width of the sentiment scale [-3, 3]
 
@@ -38,24 +39,38 @@ class Prf1:
     degenerate: bool = False
 
 
-def confusion(pred: Sequence[Polarity], truth: Sequence[Polarity]) -> ConfusionMatrix:
-    if len(pred) != len(truth):
-        raise ValueError(f"length mismatch: {len(pred)} predictions, {len(truth)} truths")
-    if not pred:
+def _as_labels(name: str, labels) -> np.ndarray:
+    """``labels`` as a 1-d bool array.
+
+    Any other dtype is rejected: counted by truth value, a list of ``Polarity``
+    members would read as all positive.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype != np.bool_ or labels.ndim != 1:
+        raise ValueError(f"{name} labels must be a 1-d bool array, not {labels.dtype} of shape {labels.shape}")
+    return labels
+
+
+def unit_interval(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, every entry checked to lie in [0, 1]."""
+    values = np.asarray(values, dtype=np.float64)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise ValueError(f"{name} {values[outside][0]} outside [0, 1]")
+    return values
+
+
+def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
+    pred = _as_labels("predicted", pred)
+    truth = _as_labels("truth", truth)
+    if pred.shape != truth.shape:
+        raise ValueError(f"length mismatch: {pred.size} predictions, {truth.size} truths")
+    if not pred.size:
         raise ValueError("cannot build a confusion matrix from zero samples")
-    tp = fp = fn = tn = 0
-    for p, t in zip(pred, truth):
-        if t is Polarity.POSITIVE:
-            if p is Polarity.POSITIVE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p is Polarity.POSITIVE:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=pred.size - tp - fp - fn)
 
 
 def prf1(cm: ConfusionMatrix) -> Prf1:
@@ -76,11 +91,9 @@ def prf1(cm: ConfusionMatrix) -> Prf1:
     return Prf1(precision=precision, recall=recall, f1=f1, degenerate=degenerate)
 
 
-def scale_confidence(confidence: float) -> float:
-    """Map a confidence in [0, 1] linearly onto the sentiment scale [-3, 3]."""
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence {confidence} outside [0, 1]")
-    return SENTIMENT_SPAN * confidence - SENTIMENT_SPAN / 2.0
+def scale_confidence(confidence: np.ndarray | float) -> np.ndarray:
+    """Map confidences in [0, 1] linearly onto the sentiment scale [-3, 3]."""
+    return SENTIMENT_SPAN * unit_interval("confidence", confidence) - SENTIMENT_SPAN / 2.0
 
 
 def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
@@ -143,19 +156,12 @@ def multiclass_accuracy(
     return float(np.mean(recalls))
 
 
-def binary_accuracies(pred: Sequence[Polarity], truth: Sequence[Polarity]) -> tuple[float, float]:
-    """(plain accuracy, mean per-class recall) over binary labels."""
-    if len(pred) != len(truth):
-        raise ValueError(f"length mismatch: {len(pred)} predictions, {len(truth)} truths")
-    if not pred:
-        raise ValueError("cannot compute accuracy of zero samples")
-    plain = sum(1 for p, t in zip(pred, truth) if p is t) / len(pred)
-    recalls = []
-    for cls in (Polarity.POSITIVE, Polarity.NEGATIVE):
-        members = [(p, t) for p, t in zip(pred, truth) if t is cls]
-        if members:
-            recalls.append(sum(1 for p, t in members if p is t) / len(members))
-    return plain, float(np.mean(recalls))
+def binary_accuracies(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """(plain accuracy, mean per-class recall) over bool labels."""
+    cm = confusion(pred, truth)
+    per_class = ((cm.tp, cm.tp + cm.fn), (cm.tn, cm.tn + cm.fp))
+    recalls = [hits / members for hits, members in per_class if members]
+    return (cm.tp + cm.tn) / cm.total, float(np.mean(recalls))
 
 
 @dataclass(frozen=True)
@@ -172,32 +178,9 @@ class MetricReport:
     confusion: ConfusionMatrix
     degenerate: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "mae": self.mae,
-            "correlation": self.correlation,
-            "binary_accuracy": self.binary_accuracy,
-            "weighted_binary_accuracy": self.weighted_binary_accuracy,
-            "acc5": self.acc5,
-            "acc7": self.acc7,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "fn": self.confusion.fn,
-                "tn": self.confusion.tn,
-            },
-            "degenerate": list(self.degenerate),
-        }
-
 
 def compute_report(
-    pred_labels: Sequence[Polarity],
-    truth_labels: Sequence[Polarity],
-    pred_sentiment: Sequence[float],
-    truth_sentiment: Sequence[float],
+    pred_labels: np.ndarray, truth_labels: np.ndarray, pred_sentiment: np.ndarray, truth_sentiment: np.ndarray
 ) -> MetricReport:
     """Assemble the full report, downgrading degenerate metrics to flagged zeros."""
     cm = confusion(pred_labels, truth_labels)

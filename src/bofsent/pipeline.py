@@ -12,14 +12,14 @@ import datetime as _dt
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import atomic, classifier, codebook, fusion, metrics
 from .config import PipelineConfig, derive_seed, extract_hash, train_hash
-from .corpus import Manifest, Polarity, filter_split
+from .corpus import Manifest, filter_split
 from .descriptors import DescriptorSet, read_descriptors, write_descriptors
 from .prosody import extract_audio_descriptors, read_pcm
 from .video import extract_video_descriptors, read_frame_volume
@@ -209,8 +209,6 @@ def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[Descrip
 
 @dataclass
 class TrainResult:
-    codebooks: dict[str, codebook.GmmCodebook]
-    models: dict[str, classifier.LinearSvmModel]
     selected_c: dict[str, float]
 
 
@@ -228,8 +226,6 @@ def run_train(
         only = labels[0].name.lower()
         raise PipelineError(f"training split holds only {only} segments; both classes are required")
 
-    codebooks = {}
-    models = {}
     selected = {}
     for modality in MODALITIES:
         sets = _load_sets(train_manifest, out_dir, modality)
@@ -276,14 +272,12 @@ def run_train(
             out_dir / "models" / f"{modality}_cv.json",
             {"selected_c": best_c, "table": [[C, acc] for C, acc in table]},
         )
-        codebooks[modality] = book
-        models[modality] = model
         selected[modality] = best_c
 
     state = load_state(out_dir)
     state["train"] = {"hash": train_hash(config), "seed": config.seed}
     _save_state(out_dir, state)
-    return TrainResult(codebooks=codebooks, models=models, selected_c=selected)
+    return TrainResult(selected_c=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -317,48 +311,43 @@ def _score_segments(
     return segments, scores
 
 
-def _pairs(
-    segments: Manifest, scores: Scores, truths: list[Polarity] | None = None
-) -> list[fusion.ScorePair]:
-    truths = truths or [None] * len(segments)
-    return [
-        fusion.ScorePair(segment_id=seg.id, video_score=video, audio_score=audio, truth=truth)
-        for seg, audio, video, truth in zip(
-            segments, scores["audio"][1].tolist(), scores["video"][1].tolist(), truths
-        )
-    ]
+def _fusion_mode(config: PipelineConfig, fusion_mode: str | None, theta: float | None) -> str:
+    """The checked fusion mode; an explicit weight is checked too, before the stage writes anything."""
+    mode = fusion_mode or config.fusion_mode
+    if mode not in ("score", "output"):
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    if theta is not None:
+        fusion.check_theta(theta)
+    return mode
 
 
 def _fuse_and_write(
-    out_dir: Path, name: str, pairs: list[fusion.ScorePair], mode: str, theta: float | None
-) -> tuple[list[fusion.FusedPrediction], Path]:
-    """Fuse every pair and write ``predictions/<name>.tsv`` in pair order."""
+    out_dir: Path, name: str, segments: Manifest, scores: Scores, mode: str, theta: float | None
+) -> tuple[np.ndarray, np.ndarray, Path]:
+    """Fuse the confidences and write ``predictions/<name>.tsv`` in segment order.
+
+    Returns the fused positive labels, the fused sentiments and the file's path.
+    """
+    audio, video = scores["audio"][1], scores["video"][1]
     if mode == "score":
-        if theta is None:
-            raise ValueError("score-level fusion requires a weight")
-        fused = [fusion.score_level_fuse(pair, theta) for pair in pairs]
-    elif mode == "output":
-        fused = [fusion.output_level_fuse(pair) for pair in pairs]
+        fused, positive = fusion.score_level_fuse(audio, video, theta)
     else:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+        fused, positive = fusion.output_level_fuse(audio, video)
+    sentiment = metrics.scale_confidence(fused)
     lines = ["id\taudio_score\tvideo_score\tfused_score\tlabel\tsentiment"]
-    for pair, pred in zip(pairs, fused):
-        sentiment = metrics.scale_confidence(pred.fused_score)
-        lines.append(
-            f"{pair.segment_id}\t{pair.audio_score!r}\t{pair.video_score!r}"
-            f"\t{pred.fused_score!r}\t{pred.label.name.lower()}\t{sentiment!r}"
-        )
+    columns = (audio, video, fused, positive, sentiment)
+    for segment, a, v, f, pos, sent in zip(segments, *(column.tolist() for column in columns)):
+        lines.append(f"{segment.id}\t{a!r}\t{v!r}\t{f!r}\t{'positive' if pos else 'negative'}\t{sent!r}")
     path = out_dir / "predictions" / f"{name}.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(path, "\n".join(lines) + "\n")
-    return fused, path
+    return positive, sentiment, path
 
 
-def _write_report(reports_dir: Path, name: str, report: metrics.MetricReport, title: str) -> Path:
+def _write_report(reports_dir: Path, name: str, report: metrics.MetricReport, title: str) -> None:
     path = reports_dir / f"{name}.json"
-    _write_json(path, report.to_dict())
+    _write_json(path, asdict(report))
     atomic.write_text(path.with_suffix(".txt"), metrics.format_report(report, title=title))
-    return path
 
 
 @dataclass
@@ -366,7 +355,6 @@ class EvaluateResult:
     reports: dict[str, metrics.MetricReport]
     theta: float | None
     fusion_mode: str
-    report_paths: dict[str, Path]
 
 
 def run_evaluate(
@@ -386,45 +374,46 @@ def run_evaluate(
     one (argument or config) appears in the trace alone.
     """
     out_dir = Path(out_dir)
-    mode = fusion_mode or config.fusion_mode
+    mode = _fusion_mode(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
-    truth_labels = [segment.label() for segment in segments]
-    truth_sentiment = [segment.sentiment for segment in segments]
-    if len(set(truth_labels)) < 2:
+    truth_sentiment = np.array([segment.sentiment for segment in segments])
+    truth = truth_sentiment > 0  # strictly positive is positive, as in corpus.binarize
+    if truth.all() or not truth.any():
         raise PipelineError(f"split {split!r} holds a single class; evaluation metrics need both")
 
-    pairs = _pairs(segments, scores, truth_labels)
+    audio, video = scores["audio"][1], scores["video"][1]
     score_path = out_dir / "scores" / f"{split}.tsv"
     score_path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for pair in pairs:
-        rows += [(pair.segment_id, "audio", pair.audio_score), (pair.segment_id, "video", pair.video_score)]
-    fusion.write_scores(score_path, rows)
+    fusion.write_scores(
+        score_path,
+        [
+            row
+            for segment, a, v in zip(segments, audio.tolist(), video.tolist())
+            for row in ((segment.id, "audio", a), (segment.id, "video", v))
+        ],
+    )
 
     reports: dict[str, metrics.MetricReport] = {}
-    report_paths: dict[str, Path] = {}
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     for modality in MODALITIES:
         distances, confidences = scores[modality]
-        pred_labels = [Polarity.POSITIVE if d > 0 else Polarity.NEGATIVE for d in distances.tolist()]
-        pred_sentiment = [metrics.scale_confidence(c) for c in confidences.tolist()]
-        reports[modality] = metrics.compute_report(pred_labels, truth_labels, pred_sentiment, truth_sentiment)
-        report_paths[modality] = _write_report(
-            reports_dir, f"{split}_{modality}", reports[modality], f"{modality} / {split}"
+        reports[modality] = metrics.compute_report(
+            distances > 0, truth, metrics.scale_confidence(confidences), truth_sentiment
         )
+        _write_report(reports_dir, f"{split}_{modality}", reports[modality], f"{modality} / {split}")
 
     chosen_theta: float | None = None
     if mode == "score":
         chosen_theta = theta if theta is not None else config.theta
         candidates = fusion.theta_candidates(config.theta_grid_step)
         trace = [
-            {"theta": candidate, "error": fusion.evaluate_theta(pairs, candidate)}
+            {"theta": candidate, "error": fusion.evaluate_theta(audio, video, truth, candidate)}
             for candidate in candidates
         ]
         source = "fixed"
         if chosen_theta is None:
-            chosen_theta = fusion.grid_search_theta(pairs, candidates)
+            chosen_theta = fusion.grid_search_theta(audio, video, truth, candidates)
             source = "grid-search"
             state = load_state(out_dir)
             state["fusion"] = {"theta": chosen_theta, "split": split}
@@ -434,14 +423,10 @@ def run_evaluate(
             {"selected": chosen_theta, "source": source, "trace": trace},
         )
 
-    fused, _ = _fuse_and_write(out_dir, split, pairs, mode, chosen_theta)
-    fused_labels = [pred.label for pred in fused]
-    fused_sentiment = [metrics.scale_confidence(pred.fused_score) for pred in fused]
-    reports["fused"] = metrics.compute_report(fused_labels, truth_labels, fused_sentiment, truth_sentiment)
-    report_paths["fused"] = _write_report(
-        reports_dir, f"{split}_fused_{mode}", reports["fused"], f"fused ({mode}) / {split}"
-    )
-    return EvaluateResult(reports=reports, theta=chosen_theta, fusion_mode=mode, report_paths=report_paths)
+    fused_labels, fused_sentiment, _ = _fuse_and_write(out_dir, split, segments, scores, mode, chosen_theta)
+    reports["fused"] = metrics.compute_report(fused_labels, truth, fused_sentiment, truth_sentiment)
+    _write_report(reports_dir, f"{split}_fused_{mode}", reports["fused"], f"fused ({mode}) / {split}")
+    return EvaluateResult(reports=reports, theta=chosen_theta, fusion_mode=mode)
 
 
 def run_predict(
@@ -459,7 +444,7 @@ def run_predict(
     the weight recorded by the last grid-searched evaluation, equal weights.
     """
     out_dir = Path(out_dir)
-    mode = fusion_mode or config.fusion_mode
+    mode = _fusion_mode(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
 
     chosen_theta: float | None = None
@@ -472,4 +457,4 @@ def run_predict(
             recorded = load_state(out_dir).get("fusion", {}).get("theta")
             chosen_theta = float(recorded) if recorded is not None else 0.5
 
-    return _fuse_and_write(out_dir, split or "all", _pairs(segments, scores), mode, chosen_theta)[1]
+    return _fuse_and_write(out_dir, split or "all", segments, scores, mode, chosen_theta)[2]

@@ -13,11 +13,10 @@ from bofsent import pipeline
 from bofsent.classifier import cross_validate_C, svm_objective, train_svm
 from bofsent.codebook import GmmCodebook, em_step, encode, fit_gmm, initialize_codebook
 from bofsent.config import PipelineConfig
-from bofsent.corpus import Polarity, load_manifest
+from bofsent.corpus import load_manifest
 from bofsent.descriptors import DescriptorSet
 from bofsent.fusion import (
     THETA_GRID,
-    ScorePair,
     evaluate_theta,
     fusion_threshold,
     grid_search_theta,
@@ -35,8 +34,6 @@ from bofsent.prosody import PcmSignal, ProsodyConfig, extract_audio_descriptors
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig, build_integral, detect
 from util import blob_volume, direct_posterior, subgradient_svm, tone
-
-P, N = Polarity.POSITIVE, Polarity.NEGATIVE
 
 
 def _report(number: int, summary: str) -> None:
@@ -62,27 +59,19 @@ def test_criterion_1_metric_oracle_reproduces_published_rows():
 def test_criterion_2_fusion_equivalence_and_grid_optimality():
     start = time.time()
     rng = np.random.default_rng(42)
-    pairs = [
-        ScorePair(
-            segment_id=f"s{i}",
-            video_score=float(rng.random()),
-            audio_score=float(rng.random()),
-            truth=P if rng.random() > 0.45 else N,
-        )
-        for i in range(1000)
-    ]
-    for theta, pick in ((0.0, lambda p: p.audio_score), (1.0, lambda p: p.video_score)):
-        mismatches = 0
-        for pair in pairs:
-            fused_label = score_level_fuse(pair, theta).label
-            unimodal = P if pick(pair) > fusion_threshold(theta) else N
-            mismatches += fused_label is not unimodal
+    # one segment at a time: video, then audio, then truth
+    draws = [(rng.random(), rng.random(), rng.random() > 0.45) for _ in range(1000)]
+    video, audio, truth = (np.array(column) for column in zip(*draws))
+    for theta, unimodal_score in ((0.0, audio), (1.0, video)):
+        fused_labels = score_level_fuse(audio, video, theta)[1]
+        unimodal = unimodal_score > fusion_threshold(theta)
+        mismatches = int(np.count_nonzero(fused_labels != unimodal))
         assert mismatches == 0
 
-    chosen = grid_search_theta(pairs)
-    chosen_error = evaluate_theta(pairs, chosen)
+    chosen = grid_search_theta(audio, video, truth)
+    chosen_error = evaluate_theta(audio, video, truth, chosen)
     for theta in THETA_GRID:
-        assert chosen_error <= evaluate_theta(pairs, theta) + 1e-12
+        assert chosen_error <= evaluate_theta(audio, video, truth, theta) + 1e-12
     elapsed = time.time() - start
     assert elapsed < 5.0
     _report(2, f"unimodal equivalence exact on 1000 pairs; grid choice optimal ({elapsed:.2f}s)")
@@ -162,6 +151,7 @@ def test_criterion_4_encoding_matches_bayes_oracle():
     _report(4, "100 posterior oracles within 1e-9; pooling permutation-invariant, simplex")
 
 
+@pytest.mark.slow
 def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
     start = time.time()
     rng = np.random.default_rng(13)
@@ -262,6 +252,7 @@ def full_scale_run(tmp_path_factory):
     return manifest, config, out_dir, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_8_synthetic_end_to_end(full_scale_run):
     start = time.time()
     manifest, config, out_dir, build_time = full_scale_run
@@ -300,6 +291,7 @@ def _artifact_payloads(out_dir):
     return payloads
 
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_determinism(tmp_path):
     start = time.time()
     synth = SynthConfig(n_train=20, n_validation=10, duration=0.6, frames=14, height=36, width=36)

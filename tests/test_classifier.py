@@ -5,7 +5,6 @@ from bofsent.classifier import (
     LinearSvmModel,
     cross_validate_C,
     cv_accuracy_table,
-    decision_distance,
     decision_distances,
     default_c_grid,
     normalize_score,
@@ -135,17 +134,17 @@ class TestDistancesAndScores:
 
     def test_on_boundary(self):
         model = self._model([2.0, 0.0], b=-6.0)
-        assert decision_distance(model, np.array([3.0, 5.0])) == pytest.approx(0.0)
+        assert decision_distances(model, np.array([3.0, 5.0])[None])[0] == pytest.approx(0.0)
 
     def test_plain_arithmetic(self):
         model = self._model([2.0, 0.0], b=0.0)
-        assert decision_distance(model, np.array([3.0, 5.0])) == pytest.approx(3.0)
+        assert decision_distances(model, np.array([3.0, 5.0])[None])[0] == pytest.approx(3.0)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(8)
         model = self._model(rng.normal(0, 1, 4))
         x = rng.normal(0, 1, 4)
-        assert decision_distance(model, x) == pytest.approx(-decision_distance(model, -x))
+        assert decision_distances(model, x[None])[0] == pytest.approx(-decision_distances(model, -x[None])[0])
 
     def test_dimension_mismatch(self):
         model = self._model([1.0, 0.0])
@@ -155,7 +154,7 @@ class TestDistancesAndScores:
     def test_zero_weight_vector_rejected(self):
         model = self._model([0.0, 0.0])
         with pytest.raises(ValueError, match="zero weight"):
-            decision_distance(model, np.array([1.0, 2.0]))
+            decision_distances(model, np.array([1.0, 2.0])[None])
 
     def test_normalization_endpoints_and_clamp(self):
         rng = np.random.default_rng(9)

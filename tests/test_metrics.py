@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bofsent.corpus import Polarity
+from bofsent.fusion import classification_error
 from bofsent.metrics import (
     ConfusionMatrix,
     binary_accuracies,
@@ -15,7 +18,11 @@ from bofsent.metrics import (
     scale_confidence,
 )
 
-P, N = Polarity.POSITIVE, Polarity.NEGATIVE
+P, N = True, False
+
+
+def _labels(*labels):
+    return np.array(labels, dtype=bool)
 
 # Validation-set confusion counts the pipeline is expected to reproduce
 # (actual-major orientation), with their published precision/recall/F1.
@@ -28,23 +35,23 @@ PUBLISHED_COUNTS = {
 
 class TestConfusion:
     def test_perfect_two_samples(self):
-        cm = confusion([P, N], [P, N])
+        cm = confusion(_labels(P, N), _labels(P, N))
         assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 1, 0, 0)
 
     def test_counts_and_total(self):
-        pred = [P, P, N, N, P]
-        truth = [P, N, P, N, P]
+        pred = _labels(P, P, N, N, P)
+        truth = _labels(P, N, P, N, P)
         cm = confusion(pred, truth)
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 1)
         assert cm.total == 5
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            confusion([P], [P, N])
+            confusion(_labels(P), _labels(P, N))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            confusion([], [])
+            confusion(_labels(), _labels())
 
 
 class TestPrf1:
@@ -79,6 +86,12 @@ class TestScaleConfidence:
         rng = np.random.default_rng(0)
         for s in rng.uniform(-3, 3, 200):
             assert abs(scale_confidence((s + 3.0) / 6.0) - s) < 1e-12
+
+    def test_arrays_elementwise(self):
+        confidence = np.array([0.0, 0.25, 0.5, 1.0])
+        assert scale_confidence(confidence).tolist() == [-3.0, -1.5, 0.0, 3.0]
+        with pytest.raises(ValueError, match="confidence -0.5 outside"):
+            scale_confidence(np.array([0.5, -0.5]))
 
 
 class TestMae:
@@ -149,47 +162,64 @@ class TestMulticlassAccuracy:
 
 class TestBinaryAccuracies:
     def test_perfect(self):
-        assert binary_accuracies([P, N], [P, N]) == (1.0, 1.0)
+        assert binary_accuracies(_labels(P, N), _labels(P, N)) == (1.0, 1.0)
 
     def test_all_positive_imbalanced(self):
-        pred = [P, P, P, P]
-        truth = [P, P, P, N]
+        pred = _labels(P, P, P, P)
+        truth = _labels(P, P, P, N)
         assert binary_accuracies(pred, truth) == (0.75, 0.5)
 
     def test_published_counts_binary_accuracy(self):
         cm, _ = PUBLISHED_COUNTS["fusion2"]
-        pred = [P] * cm.tp + [N] * cm.fn + [P] * cm.fp + [N] * cm.tn
-        truth = [P] * (cm.tp + cm.fn) + [N] * (cm.fp + cm.tn)
+        pred = _labels(*([P] * cm.tp + [N] * cm.fn + [P] * cm.fp + [N] * cm.tn))
+        truth = _labels(*([P] * (cm.tp + cm.fn) + [N] * (cm.fp + cm.tn)))
         plain, _ = binary_accuracies(pred, truth)
         assert plain == pytest.approx((1031 + 168) / 1699, abs=1e-12)
 
     def test_weighted_invariant_to_duplication(self):
         rng = np.random.default_rng(3)
-        pred = [P if rng.random() > 0.3 else N for _ in range(40)]
-        truth = [P if rng.random() > 0.5 else N for _ in range(40)]
+        pred = rng.random(40) > 0.3
+        truth = rng.random(40) > 0.5
         _, weighted = binary_accuracies(pred, truth)
         # duplicate every negative-truth sample; per-class recalls are unchanged
-        dup_pred = pred + [p for p, t in zip(pred, truth) if t is N]
-        dup_truth = truth + [t for t in truth if t is N]
+        dup_pred = np.concatenate([pred, pred[~truth]])
+        dup_truth = np.concatenate([truth, truth[~truth]])
         _, weighted_dup = binary_accuracies(dup_pred, dup_truth)
         assert weighted_dup == pytest.approx(weighted, abs=1e-12)
 
 
 class TestReport:
     def test_compute_and_format(self):
-        pred_labels = [P, P, N, N]
-        truth_labels = [P, N, N, P]
-        pred_sent = [1.0, 2.0, -1.0, -2.0]
-        truth_sent = [2.0, -1.0, -2.0, 1.0]
+        pred_labels = _labels(P, P, N, N)
+        truth_labels = _labels(P, N, N, P)
+        pred_sent = np.array([1.0, 2.0, -1.0, -2.0])
+        truth_sent = np.array([2.0, -1.0, -2.0, 1.0])
         report = compute_report(pred_labels, truth_labels, pred_sent, truth_sent)
         assert report.confusion.total == 4
         assert 0.0 <= report.f1 <= 1.0
         text = format_report(report, title="unit")
         assert "act_positive" in text and "pred_negative" in text
-        payload = report.to_dict()
+        payload = dataclasses.asdict(report)
         assert set(payload["confusion"]) == {"tp", "fp", "fn", "tn"}
 
     def test_degenerate_correlation_flagged(self):
-        report = compute_report([P, N], [P, N], [0.0, 0.0], [1.0, -1.0])
+        report = compute_report(_labels(P, N), _labels(P, N), np.array([0.0, 0.0]), np.array([1.0, -1.0]))
         assert "correlation" in report.degenerate
         assert report.correlation == 0.0
+
+
+class TestLabelDtype:
+    """A list of ``Polarity`` members is truthy throughout: counted as labels it would read as all positive."""
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda labels: confusion(labels, _labels(P, N)),
+            lambda labels: classification_error(_labels(P, N), labels),
+            lambda labels: compute_report(labels, _labels(P, N), np.zeros(2), np.array([1.0, -1.0])),
+        ],
+        ids=["confusion", "classification_error", "compute_report"],
+    )
+    def test_polarity_members_rejected(self, score):
+        with pytest.raises(ValueError, match="bool"):
+            score([Polarity.POSITIVE, Polarity.NEGATIVE])

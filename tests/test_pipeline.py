@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bofsent import atomic, cli, descriptors, fusion, pipeline
+from bofsent import atomic, classifier, cli, descriptors, fusion, pipeline
 from bofsent.classifier import LinearSvmModel, write_svm_model
 from bofsent.codebook import GmmCodebook, write_codebook
 from bofsent.config import (
@@ -18,7 +18,7 @@ from bofsent.config import (
 )
 from bofsent.corpus import Manifest, Polarity, Segment, load_manifest, save_manifest
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
-from bofsent.fusion import ScorePair, read_scores, score_level_fuse
+from bofsent.fusion import read_scores, score_level_fuse
 from bofsent.prosody import ProsodyConfig
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig
@@ -55,13 +55,13 @@ class TestConfig:
         assert config.sample_budget == 1_000_000
         assert config.cv_folds == 5
         assert (config.c_exponent_min, config.c_exponent_max) == (-3, 15)
-        assert len(config.c_grid()) == 19
+        assert len(classifier.c_grid(config.c_exponent_min, config.c_exponent_max)) == 19
         assert config.theta_grid_step == 0.2
-        assert config.theta_candidates() == (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+        assert fusion.theta_candidates(config.theta_grid_step) == (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
 
     def test_theta_candidates_follow_step(self):
         config = dataclasses.replace(CONFIG, theta_grid_step=0.5)
-        assert config.theta_candidates() == (0.0, 0.5, 1.0)
+        assert fusion.theta_candidates(config.theta_grid_step) == (0.0, 0.5, 1.0)
 
     def test_json_roundtrip(self, tmp_path):
         config = dataclasses.replace(CONFIG, theta=0.4, audio=ProsodyConfig(window=0.04))
@@ -283,13 +283,33 @@ class TestEvaluate:
         for seg_id, modality, value in read_scores(trained / "scores" / "validation.tsv"):
             scores.setdefault(seg_id, {})[modality] = value
         predictions = (trained / "predictions" / "validation.tsv").read_text().splitlines()[1:]
-        for line in predictions:
-            seg_id, audio_score, video_score, fused_score, label, sentiment = line.split("\t")
-            pair = ScorePair(seg_id, float(video_score), float(audio_score))
-            expected = score_level_fuse(pair, 0.5)
-            assert float(fused_score) == pytest.approx(expected.fused_score, abs=1e-12)
-            assert label == expected.label.name.lower()
+        columns = zip(*(line.split("\t") for line in predictions))
+        seg_ids, audio_scores, video_scores, fused_scores, labels, _ = columns
+        audio, video = np.array(audio_scores, dtype=float), np.array(video_scores, dtype=float)
+        expected_fused, expected_positive = score_level_fuse(audio, video, 0.5)
+        for seg_id, audio_score, fused_score, label, fused, positive in zip(
+            seg_ids, audio, fused_scores, labels, expected_fused, expected_positive
+        ):
+            assert float(fused_score) == pytest.approx(fused, abs=1e-12)
+            assert label == ("positive" if positive else "negative")
             assert scores[seg_id]["audio"] == pytest.approx(float(audio_score))
+
+    @pytest.mark.parametrize("theta", [1.5, -0.25])
+    def test_bad_theta_rejected_before_writing(self, corpus, trained, theta):
+        pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score")
+
+        def outputs():
+            paths = [p for sub in ("scores", "reports", "predictions") for p in (trained / sub).rglob("*")]
+            return {p: p.read_bytes() for p in sorted(paths) + [trained / "artifacts.json"]}
+
+        before = outputs()
+        with pytest.raises(ValueError, match=f"theta {theta} outside"):
+            pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score", theta=theta)
+        with pytest.raises(ValueError, match=f"theta {theta} outside"):
+            pipeline.run_predict(corpus, CONFIG, trained, split="validation", theta=theta)
+        with pytest.raises(ValueError, match="unknown fusion mode"):
+            pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="scores")
+        assert outputs() == before
 
     def test_output_mode_range(self, corpus, trained):
         pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="output")
@@ -358,6 +378,7 @@ class TestPredict:
 
 
 class TestStageIsolation:
+    @pytest.mark.slow
     def test_downstream_rebuild_is_identical(self, corpus, trained):
         models = sorted((trained / "models").glob("*"))
         payloads = {p.name: p.read_bytes() for p in models}
@@ -384,6 +405,7 @@ class TestCli:
             cli.main(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.slow
     def test_full_cli_workflow(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         out_dir = tmp_path / "out"

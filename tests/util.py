@@ -5,6 +5,9 @@ check: direct density products instead of log-sum-exp, brute-force sums
 instead of integral tables, subgradient descent instead of coordinate descent.
 The ``unblocked_*`` functions keep the codebook's former all-rows-at-once
 formulas (two exps, exact column sums) as the reference for its blocked kernels.
+The ``per_row_*`` functions keep the former one-segment-at-a-time fusion and
+metric formulas as the reference for the array versions in ``fusion`` and
+``metrics``.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import math
 
 import numpy as np
 
+from bofsent.metrics import ConfusionMatrix, MetricReport, mae, multiclass_accuracy, pearson, prf1
 from bofsent.prosody import PcmSignal
 from bofsent.video import FrameVolume, hessian_response_field
 
@@ -190,3 +194,90 @@ def subgradient_svm(X, y, C, iters: int = 150_000) -> tuple[np.ndarray, float]:
         weight_sum += weight
         averaged += weight * (v - averaged) / weight_sum
     return averaged[:dim], float(averaged[dim])
+
+
+def per_row_score_fuse(video: float, audio: float, theta: float) -> tuple[float, bool]:
+    """(fused score, positive) of one segment: weighted average, positive strictly above 1 - theta."""
+    fused = theta * video + (1.0 - theta) * audio
+    return fused, fused > 1.0 - theta
+
+
+def per_row_ternary(score: float) -> int:
+    if score < 1.0 / 3.0:
+        return -1
+    if score < 2.0 / 3.0:
+        return 0
+    return 1
+
+
+def per_row_output_fuse(video: float, audio: float) -> tuple[float, bool]:
+    fused = (per_row_ternary(video) + per_row_ternary(audio) + 2) / 4.0
+    return fused, fused > 0.5
+
+
+def per_row_classification_error(truth: list[bool], pred: list[bool]) -> float:
+    per_class = []
+    for cls in (True, False):
+        members = [(t, p) for t, p in zip(truth, pred) if t is cls]
+        per_class.append(sum(1 for t, p in members if t is not p) / len(members))
+    return (per_class[0] + per_class[1]) / 2.0
+
+
+def per_row_grid_search(videos, audios, truth, candidates) -> tuple[float, dict[float, float]]:
+    """(chosen weight, error per weight); ties go to 0.5, then to the larger weight."""
+    errors = {
+        theta: per_row_classification_error(
+            truth, [per_row_score_fuse(v, a, theta)[1] for v, a in zip(videos, audios)]
+        )
+        for theta in candidates
+    }
+    return sorted((error, abs(theta - 0.5), -theta, theta) for theta, error in errors.items())[0][3], errors
+
+
+def per_row_scale_confidence(confidence: float) -> float:
+    return 6.0 * confidence - 3.0
+
+
+def per_row_confusion(pred: list[bool], truth: list[bool]) -> ConfusionMatrix:
+    tp = fp = fn = tn = 0
+    for p, t in zip(pred, truth):
+        if t:
+            if p:
+                tp += 1
+            else:
+                fn += 1
+        elif p:
+            fp += 1
+        else:
+            tn += 1
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+
+
+def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_sentiment) -> MetricReport:
+    """The metric report from per-row counts; the float-vector metrics are shared with ``metrics``."""
+    cm = per_row_confusion(pred, truth)
+    scores = prf1(cm)
+    flags = ["precision_recall_f1"] if scores.degenerate else []
+    try:
+        correlation = pearson(pred_sentiment, truth_sentiment)
+    except ValueError:
+        correlation = 0.0
+        flags.append("correlation")
+    recalls = []
+    for cls in (True, False):
+        members = [(p, t) for p, t in zip(pred, truth) if t is cls]
+        if members:
+            recalls.append(sum(1 for p, t in members if p is t) / len(members))
+    return MetricReport(
+        precision=scores.precision,
+        recall=scores.recall,
+        f1=scores.f1,
+        mae=mae(pred_sentiment, truth_sentiment),
+        correlation=correlation,
+        binary_accuracy=sum(1 for p, t in zip(pred, truth) if p is t) / len(pred),
+        weighted_binary_accuracy=float(np.mean(recalls)),
+        acc5=multiclass_accuracy(pred_sentiment, truth_sentiment, 5),
+        acc7=multiclass_accuracy(pred_sentiment, truth_sentiment, 7),
+        confusion=cm,
+        degenerate=tuple(flags),
+    )

@@ -33,10 +33,6 @@ def c_grid(exponent_min: int = C_EXPONENT_MIN, exponent_max: int = C_EXPONENT_MA
     return tuple(2.0**e for e in range(exponent_min, exponent_max + 1))
 
 
-# Alias for the default grid, reachable where a ``c_grid`` argument shadows the function.
-default_c_grid = c_grid
-
-
 def select_c(table: Sequence[tuple[float, float]]) -> float:
     """The C with the highest accuracy in a (C, accuracy) table; ties go to the smaller C."""
     return min(table, key=lambda row: (-row[1], row[0]))[0]
@@ -184,17 +180,16 @@ def cv_accuracy_table(
     y: np.ndarray,
     seed: int,
     n_folds: int = 5,
-    c_grid: tuple[float, ...] | None = None,
+    c_grid: Sequence[float] = c_grid(),
     max_epochs: int = 1000,
     tol: float = 1e-6,
 ) -> list[tuple[float, float]]:
     """Mean held-out fold accuracy for every regularization candidate."""
     X, y = _validate_problem(X, y)
-    grid = tuple(c_grid) if c_grid is not None else default_c_grid()
     folds = stratified_folds(y, n_folds, seed)
     all_idx = np.arange(X.shape[0])
     table = []
-    for C in grid:
+    for C in c_grid:
         accuracies = []
         for fold in folds:
             train_mask = np.ones(X.shape[0], dtype=bool)
@@ -213,7 +208,7 @@ def cross_validate_C(
     y: np.ndarray,
     seed: int,
     n_folds: int = 5,
-    c_grid: tuple[float, ...] | None = None,
+    c_grid: Sequence[float] = c_grid(),
     max_epochs: int = 1000,
     tol: float = 1e-6,
 ) -> float:

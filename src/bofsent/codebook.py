@@ -411,11 +411,9 @@ def read_codebook(path: str | Path) -> GmmCodebook:
     _, k, dim, tag = _CODEBOOK_HEADER.unpack_from(data)
     if tag not in _TAG_MODALITIES:
         raise ValueError(f"{path}: unknown modality tag {tag}")
-    offset = _CODEBOOK_HEADER.size
-    expected = 8 * (k + 2 * k * dim)
-    body = data[offset : offset + expected]
-    if len(body) != expected:
-        raise ValueError(f"{path}: truncated codebook payload")
+    body = data[_CODEBOOK_HEADER.size :]
+    if len(body) != 8 * (k + 2 * k * dim):
+        raise ValueError(f"{path}: expected {8 * (k + 2 * k * dim)} codebook bytes, got {len(body)}")
     floats = np.frombuffer(body, dtype="<f8")
     weights = floats[:k].copy()
     means = floats[k : k + k * dim].reshape(k, dim).copy()

@@ -63,9 +63,6 @@ class Manifest:
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(seg.id for seg in self.segments)
-
     def resolve(self, path: str) -> Path:
         """Resolve a media path from the manifest against the manifest's directory."""
         p = Path(path)

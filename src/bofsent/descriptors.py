@@ -58,14 +58,13 @@ def read_descriptors(path: str | Path) -> DescriptorSet:
     _, version, dim, count = _HEADER.unpack_from(data)
     if version != DESCRIPTOR_VERSION:
         raise ValueError(f"{path}: unsupported descriptor version {version}")
-    offset = _HEADER.size
-    (id_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    offset = _HEADER.size + 4
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated descriptor header")
+    (id_len,) = struct.unpack_from("<I", data, _HEADER.size)
+    expected = offset + id_len + 4 * count * dim
+    if len(data) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {len(data)}")
     seg_id = data[offset : offset + id_len].decode("utf-8")
-    offset += id_len
-    expected = count * dim * 4
-    body = data[offset : offset + expected]
-    if len(body) != expected:
-        raise ValueError(f"{path}: truncated descriptor payload")
-    arr = np.frombuffer(body, dtype="<f4").reshape(count, dim).copy()
+    arr = np.frombuffer(data[offset + id_len :], dtype="<f4").reshape(count, dim).copy()
     return DescriptorSet(segment_id=seg_id, descriptors=arr)

@@ -29,11 +29,6 @@ def theta_candidates(step: float = THETA_GRID_STEP) -> tuple[float, ...]:
     return tuple(sorted(grid | {0.5}))
 
 
-THETA_CANDIDATES = theta_candidates()
-# The default step's grid without the added equal-weight default.
-THETA_GRID = tuple(theta for theta in THETA_CANDIDATES if theta != 0.5)
-
-
 def check_theta(theta: float) -> None:
     """Reject a fusion weight outside [0, 1]."""
     if not 0.0 <= theta <= 1.0:
@@ -94,34 +89,20 @@ def evaluate_theta(audio: np.ndarray, video: np.ndarray, truth: np.ndarray, thet
 
 
 def grid_search_theta(
-    audio: np.ndarray, video: np.ndarray, truth: np.ndarray, candidates: Sequence[float] = THETA_CANDIDATES
-) -> float:
+    audio: np.ndarray, video: np.ndarray, truth: np.ndarray, candidates: Sequence[float] = theta_candidates()
+) -> tuple[float, list[float]]:
     """Pick the weight minimizing the class-balanced error over the candidates.
 
+    Returns the chosen weight and every candidate's error, in candidate order.
     Ties are broken toward 0.5 (the equal-weight default, always among the
     candidates) and then toward the larger weight.
     """
-    ranked = sorted(
-        (evaluate_theta(audio, video, truth, theta), abs(theta - 0.5), -theta, theta)
-        for theta in candidates
-    )
-    return ranked[0][3]
+    errors = [evaluate_theta(audio, video, truth, theta) for theta in candidates]
+    chosen = min(zip(errors, candidates), key=lambda pair: (pair[0], abs(pair[1] - 0.5), -pair[1]))[1]
+    return chosen, errors
 
 
 def write_scores(path: str | Path, rows: Iterable[tuple[str, str, float]]) -> None:
     """Write (segment_id, modality, score) records, one tab-separated line each."""
     lines = [f"{seg_id}\t{modality}\t{score!r}" for seg_id, modality, score in rows]
     atomic.write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_scores(path: str | Path) -> list[tuple[str, str, float]]:
-    rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated fields")
-        seg_id, modality, raw = parts
-        rows.append((seg_id, modality, float(raw)))
-    return rows

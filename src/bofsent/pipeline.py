@@ -407,13 +407,11 @@ def run_evaluate(
     if mode == "score":
         chosen_theta = theta if theta is not None else config.theta
         candidates = fusion.theta_candidates(config.theta_grid_step)
-        trace = [
-            {"theta": candidate, "error": fusion.evaluate_theta(audio, video, truth, candidate)}
-            for candidate in candidates
-        ]
+        searched, errors = fusion.grid_search_theta(audio, video, truth, candidates)
+        trace = [{"theta": candidate, "error": error} for candidate, error in zip(candidates, errors)]
         source = "fixed"
         if chosen_theta is None:
-            chosen_theta = fusion.grid_search_theta(audio, video, truth, candidates)
+            chosen_theta = searched
             source = "grid-search"
             state = load_state(out_dir)
             state["fusion"] = {"theta": chosen_theta, "split": split}

@@ -16,11 +16,11 @@ from bofsent.config import PipelineConfig
 from bofsent.corpus import load_manifest
 from bofsent.descriptors import DescriptorSet
 from bofsent.fusion import (
-    THETA_GRID,
     evaluate_theta,
     fusion_threshold,
     grid_search_theta,
     score_level_fuse,
+    theta_candidates,
 )
 from bofsent.metrics import (
     ConfusionMatrix,
@@ -68,9 +68,9 @@ def test_criterion_2_fusion_equivalence_and_grid_optimality():
         mismatches = int(np.count_nonzero(fused_labels != unimodal))
         assert mismatches == 0
 
-    chosen = grid_search_theta(audio, video, truth)
+    chosen = grid_search_theta(audio, video, truth)[0]
     chosen_error = evaluate_theta(audio, video, truth, chosen)
-    for theta in THETA_GRID:
+    for theta in theta_candidates():
         assert chosen_error <= evaluate_theta(audio, video, truth, theta) + 1e-12
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -211,7 +211,7 @@ def test_criterion_7_event_detection_localization_and_equivariance():
     config = DetectorConfig()
 
     constant = blob_volume((20, 40, 40), (10, 20, 20), 3.0, 2.0, contrast=0.0, background=0.3)
-    assert detect(build_integral(constant), config) == []
+    assert detect(build_integral(constant), config)[0].size == 0
 
     rng = np.random.default_rng(17)
     for case in range(20):
@@ -224,14 +224,14 @@ def test_criterion_7_event_detection_localization_and_equivariance():
         volume_a = blob_volume((20, 40, 40), base_center, 3.0, 2.0)
         moved = tuple(c + d for c, d in zip(base_center, shift))
         volume_b = blob_volume((20, 40, 40), moved, 3.0, 2.0)
-        top_a = detect(build_integral(volume_a), config)[0]
-        top_b = detect(build_integral(volume_b), config)[0]
-        assert abs(top_a.t - base_center[0]) <= 1
-        assert abs(top_a.y - base_center[1]) <= 2
-        assert abs(top_a.x - base_center[2]) <= 2
-        assert abs((top_b.t - top_a.t) - shift[0]) <= 1, f"case {case}"
-        assert abs((top_b.y - top_a.y) - shift[1]) <= 1, f"case {case}"
-        assert abs((top_b.x - top_a.x) - shift[2]) <= 1, f"case {case}"
+        ta, ya, xa = (int(column[0]) for column in detect(build_integral(volume_a), config)[:3])
+        tb, yb, xb = (int(column[0]) for column in detect(build_integral(volume_b), config)[:3])
+        assert abs(ta - base_center[0]) <= 1
+        assert abs(ya - base_center[1]) <= 2
+        assert abs(xa - base_center[2]) <= 2
+        assert abs((tb - ta) - shift[0]) <= 1, f"case {case}"
+        assert abs((yb - ya) - shift[1]) <= 1, f"case {case}"
+        assert abs((xb - xa) - shift[2]) <= 1, f"case {case}"
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(7, f"blobs localized within 2 px / 1 frame; equivariance on 20 cases ({elapsed:.1f}s)")

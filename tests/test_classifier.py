@@ -6,7 +6,7 @@ from bofsent.classifier import (
     cross_validate_C,
     cv_accuracy_table,
     decision_distances,
-    default_c_grid,
+    c_grid,
     normalize_score,
     read_svm_model,
     select_c,
@@ -76,7 +76,7 @@ class TestTrainSvm:
 
 class TestCrossValidation:
     def test_grid_endpoints(self):
-        grid = default_c_grid()
+        grid = c_grid()
         assert grid[0] == 0.125
         assert grid[-1] == 32768.0
         assert len(grid) == 19

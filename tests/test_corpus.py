@@ -13,6 +13,10 @@ from bofsent.corpus import (
 )
 
 
+def _ids(manifest):
+    return tuple(segment.id for segment in manifest)
+
+
 def _segment(seg_id, split="train", sentiment=1.0):
     return Segment(
         id=seg_id,
@@ -49,7 +53,7 @@ class TestLoadManifest:
             '{"id": "b", "audio": "b.pcm", "video": "b.fvl", "sentiment": -2.0, "split": "test"}\n'
         )
         manifest = load_manifest(path)
-        assert manifest.ids() == ("a", "b")
+        assert _ids(manifest) == ("a", "b")
         assert manifest.segments[0].sentiment == 1.5
         assert manifest.base_dir == tmp_path
 
@@ -109,7 +113,7 @@ class TestLoadManifest:
 class TestFilterSplit:
     def test_filters_in_order(self):
         manifest = Manifest(segments=(_segment("a"), _segment("b", "validation"), _segment("c")))
-        assert filter_split(manifest, "train").ids() == ("a", "c")
+        assert _ids(filter_split(manifest, "train")) == ("a", "c")
 
     def test_empty_result(self):
         manifest = Manifest(segments=(_segment("a"),))
@@ -130,7 +134,7 @@ class TestFilterSplit:
             for i in range(50)
         )
         manifest = Manifest(segments=segments)
-        parts = [filter_split(manifest, s).ids() for s in splits]
+        parts = [_ids(filter_split(manifest, s)) for s in splits]
         flattened = [i for part in parts for i in part]
-        assert sorted(flattened) == sorted(manifest.ids())
+        assert sorted(flattened) == sorted(_ids(manifest))
         assert len(set(flattened)) == len(flattened)

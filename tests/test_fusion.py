@@ -6,16 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bofsent.fusion import (
-    THETA_CANDIDATES,
-    THETA_GRID,
     classification_error,
     evaluate_theta,
     fusion_threshold,
     grid_search_theta,
     output_level_fuse,
-    read_scores,
     score_level_fuse,
     ternary_quantize,
+    theta_candidates,
     write_scores,
 )
 from bofsent.metrics import compute_report, scale_confidence
@@ -25,9 +23,12 @@ from util import (
     per_row_report,
     per_row_scale_confidence,
     per_row_score_fuse,
+    read_scores,
 )
 
 P, N = True, False
+THETA_CANDIDATES = theta_candidates()
+THETA_GRID = tuple(theta for theta in THETA_CANDIDATES if theta != 0.5)  # without the added equal weight
 
 
 def _one(video, audio):
@@ -180,8 +181,10 @@ class TestGridSearchTheta:
 
     def test_perfect_video_noisy_audio_selects_one(self):
         audio, video, truth = self._video_wins_dataset()
-        assert grid_search_theta(audio, video, truth) == 1.0
+        chosen, searched = grid_search_theta(audio, video, truth)
+        assert chosen == 1.0
         errors = {theta: evaluate_theta(audio, video, truth, theta) for theta in THETA_CANDIDATES}
+        assert searched == list(errors.values())
         assert errors[1.0] == 0.0
         assert all(errors[t] > 0.0 for t in THETA_CANDIDATES if t != 1.0)
 
@@ -190,7 +193,7 @@ class TestGridSearchTheta:
         audio, video, truth = _segments([(0.0, 0.0, i % 2 == 0) for i in range(10)])
         errors = {theta: evaluate_theta(audio, video, truth, theta) for theta in THETA_CANDIDATES}
         assert len(set(errors.values())) == 1
-        assert grid_search_theta(audio, video, truth) == 0.5
+        assert grid_search_theta(audio, video, truth) == (0.5, list(errors.values()))
 
     def test_matches_brute_force_at_all_grid_points(self):
         rng = np.random.default_rng(6)
@@ -210,7 +213,7 @@ class TestGridSearchTheta:
             audio, video, truth = _segments(rows)
             if truth.all() or not truth.any():
                 continue
-            chosen = grid_search_theta(audio, video, truth)
+            chosen = grid_search_theta(audio, video, truth)[0]
             chosen_error = evaluate_theta(audio, video, truth, chosen)
             for theta in THETA_GRID:
                 assert chosen_error <= evaluate_theta(audio, video, truth, theta) + 1e-12
@@ -255,7 +258,7 @@ class TestPerRowReference:
         truth, truth_sentiment = np.array(truth_list), np.array(sentiment_list)
 
         chosen, errors = per_row_grid_search(video_list, audio_list, truth_list, THETA_CANDIDATES)
-        assert grid_search_theta(audio, video, truth) == chosen
+        assert grid_search_theta(audio, video, truth) == (chosen, [errors[theta] for theta in THETA_CANDIDATES])
         for theta in THETA_CANDIDATES:
             assert evaluate_theta(audio, video, truth, theta) == errors[theta]
 

@@ -18,10 +18,11 @@ from bofsent.config import (
 )
 from bofsent.corpus import Manifest, Polarity, Segment, load_manifest, save_manifest
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
-from bofsent.fusion import read_scores, score_level_fuse
+from bofsent.fusion import score_level_fuse
 from bofsent.prosody import ProsodyConfig
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig
+from util import read_scores
 
 SYNTH = SynthConfig(n_train=24, n_validation=12, duration=0.8, frames=14, height=36, width=36)
 CONFIG = PipelineConfig(

@@ -1,0 +1,76 @@
+"""Every binary reader rejects a cut or padded file with ValueError."""
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bofsent.classifier import LinearSvmModel, read_svm_model, write_svm_model
+from bofsent.codebook import GmmCodebook, read_codebook, write_codebook
+from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
+from bofsent.prosody import PcmSignal, read_pcm, write_pcm
+from bofsent.video import FrameVolume, read_frame_volume, write_frame_volume
+
+
+def _pcm(rng, n):
+    return PcmSignal(samples=rng.uniform(-1.0, 1.0, n), sample_rate=8000)
+
+
+def _volume(rng, n):
+    return FrameVolume(frames=rng.random((3, 16, 16 + n)), frame_rate=10.0)
+
+
+def _descriptors(rng, n):
+    return DescriptorSet("seg-é" * (n % 3), rng.random((n, 3)).astype(np.float32))
+
+
+def _codebook(rng, n):
+    k = 1 + n % 3
+    weights = rng.random(k) + 0.1
+    return GmmCodebook(weights / weights.sum(), rng.random((k, 2)), rng.random((k, 2)) + 0.1, "video")
+
+
+def _svm(rng, n):
+    return LinearSvmModel(w=rng.standard_normal(n), b=0.5, C=2.0, score_min=-1.0, score_max=1.0)
+
+
+# name -> (make a valid object, writer, reader, whether appended bytes must be rejected)
+FORMATS = {
+    "PCM1": (_pcm, write_pcm, read_pcm, False),  # media: a header-sized prefix is read, the rest ignored
+    "FVL1": (_volume, write_frame_volume, read_frame_volume, True),
+    "DSC1": (_descriptors, write_descriptors, read_descriptors, True),
+    "GMM1": (_codebook, write_codebook, read_codebook, True),
+    "SVM1": (_svm, write_svm_model, read_svm_model, True),
+}
+
+
+def _rejects(read, path: Path, data: bytes) -> bool:
+    path.write_bytes(data)
+    try:
+        read(path)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@example("DSC1", 1, 0, b"\0")  # cut inside the id-length field, once a struct.error
+@example("GMM1", 1, 0, b"\0")  # a trailing byte, once accepted
+@given(
+    st.sampled_from(sorted(FORMATS)),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.binary(min_size=1, max_size=1),
+)
+def test_cut_or_padded_file_raises_value_error(name, n, seed, extra):
+    make, write, read, strict_end = FORMATS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact"
+        write(path, make(np.random.default_rng(seed), n))
+        data = path.read_bytes()
+        read(path)  # the valid file reads
+        accepted = [size for size in range(len(data)) if not _rejects(read, path, data[:size])]
+        assert accepted == [], f"{name}: prefixes of {len(data)} bytes read without error"
+        if strict_end:
+            assert _rejects(read, path, data + extra), f"{name}: trailing byte accepted"

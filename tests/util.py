@@ -7,18 +7,21 @@ The ``unblocked_*`` functions keep the codebook's former all-rows-at-once
 formulas (two exps, exact column sums) as the reference for its blocked kernels.
 The ``per_row_*`` functions keep the former one-segment-at-a-time fusion and
 metric formulas as the reference for the array versions in ``fusion`` and
-``metrics``.
+``metrics``. ``box_sum``, ``hessian_response`` and ``per_point_describe`` keep
+the former one-voxel and one-point video formulas as the reference for the
+whole-field detector and the batched describer in ``video``.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from bofsent.metrics import ConfusionMatrix, MetricReport, mae, multiclass_accuracy, pearson, prf1
 from bofsent.prosody import PcmSignal
-from bofsent.video import FrameVolume, hessian_response_field
+from bofsent.video import FrameVolume, _det3_symmetric, _filter_bank, hessian_response_field
 
 
 def tone(freq: float, duration: float, sample_rate: int = 16000, amplitude: float = 0.5) -> PcmSignal:
@@ -52,15 +55,15 @@ def interp_salience(
     return float(scores.max())
 
 
-def full_field_detect(iv, config) -> list[tuple]:
-    """(x, y, t, sigma_s, sigma_t, response) of each strict maximum of |det H| over space, time and scale.
+def full_field_detect(table, config) -> list[tuple]:
+    """(t, y, x, sigma_s, sigma_t, response) of each strict maximum of |det H| over space, time and scale.
 
     Every field spans the whole volume (zero where its filters do not fit),
     the volume is padded with -1, and points are ordered as ``video.detect``
     orders them.
     """
     fields = {
-        (si, ti): np.abs(hessian_response_field(iv, sigma_s, sigma_t))
+        (si, ti): np.abs(hessian_response_field(table, sigma_s, sigma_t))
         for si, sigma_s in enumerate(config.spatial_scales)
         for ti, sigma_t in enumerate(config.temporal_scales)
     }
@@ -78,9 +81,88 @@ def full_field_detect(iv, config) -> list[tuple]:
         found += [(-field[t, y, x], si, ti, int(t), int(y), int(x)) for t, y, x in np.argwhere(mask)]
     found.sort()
     return [
-        (x, y, t, config.spatial_scales[si], config.temporal_scales[ti], -neg)
+        (t, y, x, config.spatial_scales[si], config.temporal_scales[ti], -neg)
         for neg, si, ti, t, y, x in found
     ]
+
+
+def point_rows(points) -> list[tuple]:
+    """``video.detect``'s (t, y, x, sigma_s, sigma_t, response) arrays as one Python tuple per point."""
+    return list(zip(*(column.tolist() for column in points)))
+
+
+def box_sum(table: np.ndarray, t0: int, t1: int, y0: int, y1: int, x0: int, x1: int) -> float:
+    """Sum of intensities over the half-open box [t0,t1) x [y0,y1) x [x0,x1) of an integral table."""
+    t, h, w = (n - 1 for n in table.shape)
+    if not (0 <= t0 <= t1 <= t and 0 <= y0 <= y1 <= h and 0 <= x0 <= x1 <= w):
+        raise ValueError("box out of bounds")
+    return float(
+        table[t1, y1, x1]
+        - table[t0, y1, x1]
+        - table[t1, y0, x1]
+        - table[t1, y1, x0]
+        + table[t0, y0, x1]
+        + table[t0, y1, x0]
+        + table[t1, y0, x0]
+        - table[t0, y0, x0]
+    )
+
+
+def hessian_response(table: np.ndarray, x: int, y: int, t: int, sigma_s: float, sigma_t: float) -> float:
+    """Signed Hessian determinant at one voxel from area-normalized box responses.
+
+    Raises when the filter support does not fit inside the volume.
+    """
+    filters, margins = _filter_bank(float(sigma_s), float(sigma_t))
+    nt, ny, nx = (n - 1 for n in table.shape)
+    mt, my, mx = margins
+    if not (mt <= t < nt - mt and my <= y < ny - my and mx <= x < nx - mx):
+        raise ValueError(f"filter support at scale ({sigma_s}, {sigma_t}) does not fit at ({x}, {y}, {t})")
+    values = {}
+    for name, (boxes, area) in filters.items():
+        acc = 0.0
+        for t0, t1, y0, y1, x0, x1, weight in boxes:
+            acc += weight * box_sum(table, t + t0, t + t1, y + y0, y + y1, x + x0, x + x1)
+        values[name] = acc / area
+    return float(_det3_symmetric(**values))
+
+
+def _bilinear(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    h, w = image.shape
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)
+    fx = np.clip(xs - x0, 0.0, 1.0)
+    return (
+        image[y0, x0] * (1 - fy) * (1 - fx)
+        + image[y1, x0] * fy * (1 - fx)
+        + image[y0, x1] * (1 - fy) * fx
+        + image[y1, x1] * fy * fx
+    )
+
+
+def per_point_describe(volume: FrameVolume, t: int, y: int, x: int, sigma_s: float, sigma_t: float) -> np.ndarray:
+    """Upright SURF-style 64-vector for one point, from its own time-averaged patch."""
+    frames = volume.frames
+    t_count, h, w = frames.shape
+    reach_t = int(round(sigma_t))
+    patch = frames[max(0, t - reach_t) : min(t_count, t + reach_t + 1)].mean(axis=0)
+    offsets = (np.arange(22) - 21 / 2.0) * sigma_s  # 20 x 20 grid plus a ring for central differences
+    ys = np.clip(y + offsets, 0.0, h - 1.0)[:, None]
+    xs = np.clip(x + offsets, 0.0, w - 1.0)[None, :]
+    samples = _bilinear(patch, ys, xs)
+    dx = (0.5 * (samples[1:-1, 2:] - samples[1:-1, :-2])).reshape(4, 5, 4, 5)
+    dy = (0.5 * (samples[2:, 1:-1] - samples[:-2, 1:-1])).reshape(4, 5, 4, 5)
+    features = np.stack(
+        [dx.sum(axis=(1, 3)), dy.sum(axis=(1, 3)), np.abs(dx).sum(axis=(1, 3)), np.abs(dy).sum(axis=(1, 3))],
+        axis=-1,
+    ).ravel()
+    norm = float(np.linalg.norm(features))
+    if norm < 1e-12:
+        return np.zeros(features.size)
+    return features / norm
 
 
 def blob_volume(
@@ -281,3 +363,17 @@ def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_se
         confusion=cm,
         degenerate=tuple(flags),
     )
+
+
+def read_scores(path) -> list[tuple[str, str, float]]:
+    """(segment_id, modality, score) records of a ``fusion.write_scores`` file."""
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated fields")
+        seg_id, modality, raw = parts
+        rows.append((seg_id, modality, float(raw)))
+    return rows

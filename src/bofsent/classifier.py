@@ -203,19 +203,6 @@ def cv_accuracy_table(
     return table
 
 
-def cross_validate_C(
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    n_folds: int = 5,
-    c_grid: Sequence[float] = c_grid(),
-    max_epochs: int = 1000,
-    tol: float = 1e-6,
-) -> float:
-    """Pick the C maximizing mean fold accuracy; ties go to the smaller C."""
-    return select_c(cv_accuracy_table(X, y, seed, n_folds, c_grid, max_epochs, tol))
-
-
 def write_svm_model(path: str | Path, model: LinearSvmModel) -> None:
     with atomic_open(path) as fh:
         fh.write(

@@ -29,9 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True):
-        if manifest:
-            p.add_argument("--manifest", required=True, help="manifest file (one JSON record per line)")
+    def common(p):
+        p.add_argument("--manifest", required=True, help="manifest file (one JSON record per line)")
         p.add_argument("--out-dir", required=True, help="artifact directory")
         p.add_argument("--config", help="JSON config file; omitted fields keep defaults")
         p.add_argument("--seed", type=int, help="override the root seed")
@@ -98,8 +97,8 @@ def _cmd_extract(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_pipeline_config(args)
     manifest = load_manifest(args.manifest)
-    result = pipeline.run_train(manifest, config, args.out_dir, force=args.force)
-    for modality, c in sorted(result.selected_c.items()):
+    selected_c = pipeline.run_train(manifest, config, args.out_dir, force=args.force)
+    for modality, c in sorted(selected_c.items()):
         logger.info("train: %s model ready (C=%g)", modality, c)
     return 0
 

@@ -93,10 +93,6 @@ class MidLevelVector:
     segment_id: str
     n_descriptors: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.n_descriptors == 0
-
 
 def sample_balanced(
     sets: Sequence[tuple[DescriptorSet, Polarity]], budget: int, seed: int
@@ -119,12 +115,16 @@ def sample_balanced(
         if len(dset):
             pools[label].append(dset.descriptors)
 
+    for label, arrays in pools.items():
+        if not arrays:
+            raise ValueError(f"no descriptors available for class {label.name.lower()}")
+
     rng = np.random.default_rng(seed)
     need = budget // 2
-    parts = []
-    for label in (Polarity.POSITIVE, Polarity.NEGATIVE):
-        if not pools[label]:
-            raise ValueError(f"no descriptors available for class {label.name.lower()}")
+    # Filled BLOCK rows at a time: no float32 copy of a class's draw and no
+    # second float64 copy of the whole sample.
+    sample = np.empty((budget, dim))
+    for offset, label in ((0, Polarity.POSITIVE), (need, Polarity.NEGATIVE)):
         pool = np.concatenate(pools[label], axis=0)
         if len(pool) >= need:
             idx = rng.choice(len(pool), size=need, replace=False)
@@ -136,8 +136,9 @@ def sample_balanced(
                 need,
             )
             idx = rng.choice(len(pool), size=need, replace=True)
-        parts.append(pool[idx])
-    return np.concatenate(parts, axis=0, dtype=np.float64)  # no float32 copy of the whole sample
+        for start in range(0, need, BLOCK):
+            sample[offset + start : offset + min(start + BLOCK, need)] = pool[idx[start : start + BLOCK]]
+    return sample
 
 
 def _joint_terms(codebook: GmmCodebook) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +198,24 @@ def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"dimension mismatch: data has {arr.shape[1]}, codebook has {dim}")
     return arr
+
+
+def _column_variance(data: np.ndarray) -> np.ndarray:
+    """``data.var(axis=0)``, bit for bit, without its sample-sized temporary.
+
+    numpy sums a C-ordered matrix of two or more columns down axis 0 row after
+    row, so each block is summed below the running total; other shapes go to ``var``.
+    """
+    n, dim = data.shape
+    if dim < 2 or not data.flags.c_contiguous:
+        return data.var(axis=0)
+    mean = np.add.reduce(data, axis=0) / n
+    buf = np.zeros((min(n, BLOCK) + 1, dim))  # row 0 holds the running total
+    for start in range(0, n, BLOCK):
+        rows = buf[1 : 1 + min(BLOCK, n - start)]
+        np.square(np.subtract(data[start : start + len(rows)], mean, out=rows), out=rows)
+        buf[0] = np.add.reduce(buf[: 1 + len(rows)], axis=0)
+    return buf[0] / n
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,7 +281,7 @@ def initialize_codebook(
     assign = _assign(data, centers)
     counts = np.bincount(assign, minlength=n_components)
     sq_sums = _cluster_sums(assign, (col * col for col in data.T), n_components)
-    global_var = np.maximum(data.var(axis=0), variance_floor)
+    global_var = np.maximum(_column_variance(data), variance_floor)
     variances = np.tile(global_var, (n_components, 1))
     nonempty = counts > 0
     variances[nonempty] = np.maximum(
@@ -332,9 +351,9 @@ def fit_gmm(
         raise ValueError(
             f"need at least {10 * n_components} rows to fit {n_components} components, got {data.shape[0]}"
         )
-    if not np.isfinite(data).all():
+    if not all(np.isfinite(data[start : start + BLOCK]).all() for start in range(0, data.shape[0], BLOCK)):
         raise ValueError("data must be finite")
-    variance_floor = variance_floor_scale * float(data.var(axis=0).mean())
+    variance_floor = variance_floor_scale * float(_column_variance(data).mean())
     if variance_floor <= 0.0:
         raise ValueError("degenerate data: zero variance in every dimension")
 

@@ -41,18 +41,19 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.fusion_mode not in ("score", "output"):
-            raise ValueError(f"fusion_mode must be 'score' or 'output', got {self.fusion_mode!r}")
+            raise ValueError(f"unknown fusion mode {self.fusion_mode!r} (expected 'score' or 'output')")
         if self.theta is not None:
             fusion.check_theta(self.theta)
         if not 0.0 < self.theta_grid_step <= 1.0:
             raise ValueError(f"theta_grid_step {self.theta_grid_step} outside (0, 1]")
 
 
+# Read only when fusing scores, so changing them never invalidates trained models.
+_FUSION_FIELDS = ("fusion_mode", "theta", "theta_grid_step")
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["video"]["spatial_scales"] = list(config.video.spatial_scales)
-    raw["video"]["temporal_scales"] = list(config.video.temporal_scales)
-    return raw
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -105,22 +106,11 @@ def extract_hash(config: PipelineConfig) -> str:
 
 
 def train_hash(config: PipelineConfig) -> str:
-    """Hash of extraction plus every setting that shapes trained models."""
+    """Hash of extraction plus every other setting except the fusion-time ones."""
     raw = config_to_dict(config)
-    keys = (
-        "codebook_size",
-        "sample_budget",
-        "gmm_max_iters",
-        "gmm_tol",
-        "variance_floor_scale",
-        "cv_folds",
-        "c_exponent_min",
-        "c_exponent_max",
-        "svm_max_epochs",
-        "svm_tol",
-        "seed",
-    )
-    return _digest({"extract": extract_hash(config), **{k: raw[k] for k in keys}})
+    for key in ("audio", "video", *_FUSION_FIELDS):
+        del raw[key]
+    return _digest({"extract": extract_hash(config), **raw})
 
 
 def derive_seed(root: int, *tags: str) -> int:

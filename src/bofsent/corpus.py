@@ -13,6 +13,8 @@ SENTIMENT_MAX = 3.0
 
 _MANIFEST_FIELDS = ("id", "audio", "video", "sentiment", "split")
 _OPTIONAL_FIELDS = ("sample_rate",)
+# An id names a file in the run directory and a field of the prediction TSVs.
+_ID_FORBIDDEN = ("/", "\\", "\0", "\t", "\r", "\n")
 
 
 class ManifestError(ValueError):
@@ -82,7 +84,13 @@ def _parse_record(raw: dict, line_no: int) -> Segment:
     seg_id = raw["id"]
     if not isinstance(seg_id, str) or not seg_id:
         raise ManifestError(f"line {line_no}: 'id' must be a non-empty string")
+    if seg_id in (".", "..") or any(char in seg_id for char in _ID_FORBIDDEN):
+        raise ManifestError(
+            f"line {line_no}: id {seg_id!r} must not be '.' or '..' or hold '/', '\\', NUL, tab, CR or LF"
+        )
     try:
+        if isinstance(raw["sentiment"], bool):  # float(True) would read as 1.0
+            raise TypeError
         sentiment = float(raw["sentiment"])
     except (TypeError, ValueError):
         raise ManifestError(f"line {line_no}: sentiment {raw['sentiment']!r} is not a number") from None

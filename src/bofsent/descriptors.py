@@ -58,6 +58,8 @@ def read_descriptors(path: str | Path) -> DescriptorSet:
     _, version, dim, count = _HEADER.unpack_from(data)
     if version != DESCRIPTOR_VERSION:
         raise ValueError(f"{path}: unsupported descriptor version {version}")
+    if dim == 0:
+        raise ValueError(f"{path}: descriptor dimension is 0")
     offset = _HEADER.size + 4
     if len(data) < offset:
         raise ValueError(f"{path}: truncated descriptor header")

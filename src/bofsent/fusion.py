@@ -8,12 +8,10 @@ Scores are (n,) float arrays in [0, 1], one entry per segment, and labels are
 """
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import atomic
 from .metrics import confusion, unit_interval
 
 THETA_GRID_STEP = 0.2
@@ -100,9 +98,3 @@ def grid_search_theta(
     errors = [evaluate_theta(audio, video, truth, theta) for theta in candidates]
     chosen = min(zip(errors, candidates), key=lambda pair: (pair[0], abs(pair[1] - 0.5), -pair[1]))[1]
     return chosen, errors
-
-
-def write_scores(path: str | Path, rows: Iterable[tuple[str, str, float]]) -> None:
-    """Write (segment_id, modality, score) records, one tab-separated line each."""
-    lines = [f"{seg_id}\t{modality}\t{score!r}" for seg_id, modality, score in rows]
-    atomic.write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -12,7 +12,7 @@ import datetime as _dt
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,15 +174,6 @@ def _check_stage(out_dir: Path, stage: str, current: str, force: bool) -> None:
         logger.warning("%s (forced)", problem)
 
 
-def _check_extract_state(out_dir: Path, config: PipelineConfig, force: bool) -> None:
-    _check_stage(out_dir, "extract", extract_hash(config), force)
-
-
-def _check_train_state(out_dir: Path, config: PipelineConfig, force: bool) -> None:
-    _check_extract_state(out_dir, config, force)
-    _check_stage(out_dir, "train", train_hash(config), force)
-
-
 def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[DescriptorSet]:
     sets = []
     missing = []
@@ -207,17 +198,12 @@ def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[Descrip
 # train
 
 
-@dataclass
-class TrainResult:
-    selected_c: dict[str, float]
-
-
 def run_train(
     manifest: Manifest, config: PipelineConfig, out_dir: str | Path, force: bool = False
-) -> TrainResult:
-    """Fit a codebook and an SVM per modality from the training split."""
+) -> dict[str, float]:
+    """Fit a codebook and an SVM per modality from the training split; returns the selected C per modality."""
     out_dir = Path(out_dir)
-    _check_extract_state(out_dir, config, force)
+    _check_stage(out_dir, "extract", extract_hash(config), force)
     train_manifest = filter_split(manifest, "train")
     if len(train_manifest) == 0:
         raise PipelineError("training split is empty")
@@ -277,7 +263,7 @@ def run_train(
     state = load_state(out_dir)
     state["train"] = {"hash": train_hash(config), "seed": config.seed}
     _save_state(out_dir, state)
-    return TrainResult(selected_c=selected)
+    return selected
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +276,9 @@ Scores = dict[str, tuple[np.ndarray, np.ndarray]]
 def _score_segments(
     manifest: Manifest, split: str | None, config: PipelineConfig, out_dir: Path, force: bool
 ) -> tuple[Manifest, Scores]:
-    """Check the train state, pick the segments of ``split`` (all when None) and score them."""
-    _check_train_state(out_dir, config, force)
+    """Check the stage states, pick the segments of ``split`` (all when None) and score them."""
+    _check_stage(out_dir, "extract", extract_hash(config), force)
+    _check_stage(out_dir, "train", train_hash(config), force)
     segments = filter_split(manifest, split) if split else manifest
     if len(segments) == 0:
         raise PipelineError(f"split {split!r} is empty" if split else "manifest is empty")
@@ -311,14 +298,11 @@ def _score_segments(
     return segments, scores
 
 
-def _fusion_mode(config: PipelineConfig, fusion_mode: str | None, theta: float | None) -> str:
-    """The checked fusion mode; an explicit weight is checked too, before the stage writes anything."""
-    mode = fusion_mode or config.fusion_mode
-    if mode not in ("score", "output"):
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    if theta is not None:
-        fusion.check_theta(theta)
-    return mode
+def _with_fusion(config: PipelineConfig, fusion_mode: str | None, theta: float | None) -> PipelineConfig:
+    """``config`` with the given fusion mode and weight in place of its own, checked before anything is written."""
+    return replace(
+        config, fusion_mode=fusion_mode or config.fusion_mode, theta=config.theta if theta is None else theta
+    )
 
 
 def _fuse_and_write(
@@ -374,24 +358,12 @@ def run_evaluate(
     one (argument or config) appears in the trace alone.
     """
     out_dir = Path(out_dir)
-    mode = _fusion_mode(config, fusion_mode, theta)
+    config = _with_fusion(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
     truth_sentiment = np.array([segment.sentiment for segment in segments])
     truth = truth_sentiment > 0  # strictly positive is positive, as in corpus.binarize
     if truth.all() or not truth.any():
         raise PipelineError(f"split {split!r} holds a single class; evaluation metrics need both")
-
-    audio, video = scores["audio"][1], scores["video"][1]
-    score_path = out_dir / "scores" / f"{split}.tsv"
-    score_path.parent.mkdir(parents=True, exist_ok=True)
-    fusion.write_scores(
-        score_path,
-        [
-            row
-            for segment, a, v in zip(segments, audio.tolist(), video.tolist())
-            for row in ((segment.id, "audio", a), (segment.id, "video", v))
-        ],
-    )
 
     reports: dict[str, metrics.MetricReport] = {}
     reports_dir = out_dir / "reports"
@@ -403,11 +375,12 @@ def run_evaluate(
         )
         _write_report(reports_dir, f"{split}_{modality}", reports[modality], f"{modality} / {split}")
 
+    mode = config.fusion_mode
     chosen_theta: float | None = None
     if mode == "score":
-        chosen_theta = theta if theta is not None else config.theta
+        chosen_theta = config.theta
         candidates = fusion.theta_candidates(config.theta_grid_step)
-        searched, errors = fusion.grid_search_theta(audio, video, truth, candidates)
+        searched, errors = fusion.grid_search_theta(scores["audio"][1], scores["video"][1], truth, candidates)
         trace = [{"theta": candidate, "error": error} for candidate, error in zip(candidates, errors)]
         source = "fixed"
         if chosen_theta is None:
@@ -442,17 +415,12 @@ def run_predict(
     the weight recorded by the last grid-searched evaluation, equal weights.
     """
     out_dir = Path(out_dir)
-    mode = _fusion_mode(config, fusion_mode, theta)
+    config = _with_fusion(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
 
-    chosen_theta: float | None = None
-    if mode == "score":
-        if theta is not None:
-            chosen_theta = theta
-        elif config.theta is not None:
-            chosen_theta = config.theta
-        else:
-            recorded = load_state(out_dir).get("fusion", {}).get("theta")
-            chosen_theta = float(recorded) if recorded is not None else 0.5
+    chosen_theta = config.theta
+    if config.fusion_mode == "score" and chosen_theta is None:
+        recorded = load_state(out_dir).get("fusion", {}).get("theta")
+        chosen_theta = float(recorded) if recorded is not None else 0.5
 
-    return _fuse_and_write(out_dir, split or "all", segments, scores, mode, chosen_theta)[2]
+    return _fuse_and_write(out_dir, split or "all", segments, scores, config.fusion_mode, chosen_theta)[2]

@@ -232,6 +232,8 @@ def read_pcm(path: str | Path, sample_rate: int | None = None) -> PcmSignal:
     else:
         if sample_rate is None:
             raise ValueError(f"{path}: headerless PCM requires an explicit sample rate")
+        if len(data) % 2:
+            raise ValueError(f"{path}: headerless PCM holds an odd number of bytes ({len(data)})")
         rate = sample_rate
         ints = np.frombuffer(data, dtype="<i2")
     samples = np.clip(ints.astype(np.float64) / _INT16_SCALE, -1.0, 1.0)

@@ -148,11 +148,8 @@ def _det3_symmetric(dxx, dyy, dtt, dxy, dxt, dyt):
 
 
 def _box_sum_field(table, margins, boxes, area):
-    t, h, w = (n - 1 for n in table.shape)
     mt, my, mx = margins
-    nt, ny, nx = t - 2 * mt, h - 2 * my, w - 2 * mx
-    if nt <= 0 or ny <= 0 or nx <= 0:
-        return None
+    nt, ny, nx = (max(n - 1 - 2 * m, 0) for n, m in zip(table.shape, margins))
 
     def corner(dt, dy, dx):
         return table[mt + dt : mt + dt + nt, my + dy : my + dy + ny, mx + dx : mx + dx + nx]
@@ -173,20 +170,15 @@ def _box_sum_field(table, margins, boxes, area):
 
 
 def hessian_response_field(table: np.ndarray, sigma_s: float, sigma_t: float) -> np.ndarray:
-    """Signed Hessian determinant over the whole volume; zero outside filter support."""
+    """Signed Hessian determinant on the box of voxels where every filter fits.
+
+    With filter margins (mt, my, mx), entry [i, j, k] is the response at voxel
+    (mt + i, my + j, mx + k); an axis too short for the filters has extent 0.
+    """
     filters, margins = _filter_bank(float(sigma_s), float(sigma_t))
-    t, h, w = (n - 1 for n in table.shape)
-    fields = {}
-    for name, (boxes, area) in filters.items():
-        field = _box_sum_field(table, margins, boxes, area)
-        if field is None:
-            return np.zeros((t, h, w))
-        fields[name] = field
-    det = _det3_symmetric(**fields)
-    mt, my, mx = margins
-    full = np.zeros((t, h, w))
-    full[mt : t - mt, my : h - my, mx : w - mx] = det
-    return full
+    return _det3_symmetric(
+        **{name: _box_sum_field(table, margins, boxes, area) for name, (boxes, area) in filters.items()}
+    )
 
 
 def _strict_local_maxima(field: np.ndarray) -> np.ndarray:
@@ -216,17 +208,17 @@ def _read_box(box: tuple[slice, ...], values: np.ndarray, target: tuple[slice, .
 
 def _scale_space_maxima(table: np.ndarray, config: DetectorConfig) -> list[tuple[np.ndarray, ...]]:
     """(si, ti, t, y, x, response) columns of the strict maxima, one tuple per scale pair."""
-    shape = tuple(n - 1 for n in table.shape)
-    # Each |det H| field is kept on the box where its filters fit. It is zero
-    # outside the box (filter margins are at least one voxel, so every box has
-    # a layer of such zeros around it), and a zero is never a strict maximum of
-    # a nonnegative field, so no point lies outside a box.
+    # Each |det H| field is kept on the box where its filters fit. Read as a
+    # whole-volume field it is zero outside the box (filter margins are at
+    # least one voxel, so every box has a layer of such zeros around it), and a
+    # zero is never a strict maximum of a nonnegative field, so no point lies
+    # outside a box.
     fields = {}
     for si, sigma_s in enumerate(config.spatial_scales):
         for ti, sigma_t in enumerate(config.temporal_scales):
             margins = _filter_bank(float(sigma_s), float(sigma_t))[1]
-            box = tuple(slice(m, max(m, n - m)) for m, n in zip(margins, shape))
-            fields[si, ti] = box, np.abs(hessian_response_field(table, sigma_s, sigma_t)[box])
+            field = np.abs(hessian_response_field(table, sigma_s, sigma_t))
+            fields[si, ti] = tuple(slice(m, m + n) for m, n in zip(margins, field.shape)), field
 
     empty = np.empty(0, dtype=np.intp)
     columns = [(empty, empty, empty, empty, empty, np.empty(0))]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bofsent import pipeline
-from bofsent.classifier import cross_validate_C, svm_objective, train_svm
+from bofsent.classifier import cv_accuracy_table, select_c, svm_objective, train_svm
 from bofsent.codebook import GmmCodebook, em_step, encode, fit_gmm, initialize_codebook
 from bofsent.config import PipelineConfig
 from bofsent.corpus import load_manifest
@@ -178,8 +178,8 @@ def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
     yc = np.where(Xc[:, 0] + 0.4 * rng.standard_normal(60) > 0, 1.0, -1.0)
     if len(np.unique(yc)) < 2:
         yc[0] = -yc[0]
-    first = cross_validate_C(Xc, yc, seed=3, max_epochs=250)
-    second = cross_validate_C(Xc, yc, seed=3, max_epochs=250)
+    first = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250))
+    second = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250))
     assert first == second
     elapsed = time.time() - start
     assert elapsed < 120.0

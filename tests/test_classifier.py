@@ -3,7 +3,6 @@ import pytest
 
 from bofsent.classifier import (
     LinearSvmModel,
-    cross_validate_C,
     cv_accuracy_table,
     decision_distances,
     c_grid,
@@ -84,7 +83,7 @@ class TestCrossValidation:
     def test_trivially_separable_ties_to_smallest(self):
         rng = np.random.default_rng(4)
         X, y = _separable_toy(rng, n_per_class=25, gap=6.0)
-        assert cross_validate_C(X, y, seed=0) == 0.125
+        assert select_c(cv_accuracy_table(X, y, seed=0)) == 0.125
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(5)
@@ -92,8 +91,8 @@ class TestCrossValidation:
         y = np.where(X[:, 0] + 0.3 * rng.standard_normal(60) > 0, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             y[0] = -y[0]
-        first = cross_validate_C(X, y, seed=7, max_epochs=150)
-        second = cross_validate_C(X, y, seed=7, max_epochs=150)
+        first = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150))
+        second = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150))
         assert first == second
 
     def test_selected_c_maximizes_table(self):
@@ -101,7 +100,7 @@ class TestCrossValidation:
         X = rng.normal(0, 1, (50, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         table = cv_accuracy_table(X, y, seed=3, max_epochs=150)
-        best = cross_validate_C(X, y, seed=3, max_epochs=150)
+        best = select_c(table)
         best_acc = dict(table)[best]
         assert best_acc == max(acc for _, acc in table)
         # tie rule: no smaller C attains the same accuracy

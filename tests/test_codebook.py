@@ -9,6 +9,7 @@ from bofsent.codebook import (
     BLOCK,
     GmmCodebook,
     _assign,
+    _column_variance,
     encode,
     em_step,
     fit_gmm,
@@ -83,6 +84,23 @@ class TestSampleBalanced:
         b = sample_balanced(sets, budget=200, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_neg", [40, 3000])
+    def test_matches_concatenated_draws(self, n_neg):
+        # Reference: both classes' draws concatenated into one float64 sample.
+        rng = np.random.default_rng(n_neg)
+        pos = [rng.random((n, 5), dtype=np.float32) for n in (1200, 1800)]
+        neg = rng.random((n_neg, 5), dtype=np.float32)
+        sets = [(_dset("p", rows), Polarity.POSITIVE) for rows in pos] + [(_dset("n", neg), Polarity.NEGATIVE)]
+        need = BLOCK + 5
+        draw = np.random.default_rng(4)
+        parts = [
+            pool[draw.choice(len(pool), size=need, replace=len(pool) < need)] for pool in (np.concatenate(pos), neg)
+        ]
+        expected = np.concatenate(parts, dtype=np.float64)
+        data = sample_balanced(sets, budget=2 * need, seed=4)
+        assert data.dtype == np.float64
+        assert np.array_equal(data, expected)
+
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(0)
         sets = [(_dset("p", rng.random((10, 2))), Polarity.POSITIVE)]
@@ -130,6 +148,14 @@ class TestFitGmm:
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError, match="rows"):
             fit_gmm(np.zeros((19, 2)) + np.arange(19)[:, None], 2, seed=0)
+
+    @pytest.mark.parametrize(("row", "value"), [(0, np.nan), (BLOCK - 1, np.inf), (2 * BLOCK + 2, np.nan)])
+    def test_non_finite_row_rejected_in_any_block(self, row, value):
+        # 2 * BLOCK + 3 rows: two full blocks and a partial one holding the last row.
+        data = np.random.default_rng(0).normal(size=(2 * BLOCK + 3, 2))
+        data[row, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            fit_gmm(data, 2, seed=0)
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate|distinct"):
@@ -246,6 +272,14 @@ class TestBlocks:
         assert (nearest[:, 1] - nearest[:, 0] > 1e-6).all(), "test data must have no near ties"
         assert np.array_equal(_assign(data, centers), d2.argmin(axis=1))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_column_variance_matches_var_bitwise(self, n, dim):
+        rng = np.random.default_rng(300 + n + dim)
+        data = rng.normal(5.0, 1.0, (n, dim)) * rng.choice([1e-3, 1.0, 1e4], size=(n, dim))
+        for layout in (data, np.asfortranarray(data)):
+            assert np.array_equal(_column_variance(layout), layout.var(axis=0))
+
 
 class TestLoglik:
     def test_unit_gaussian_at_mean(self):
@@ -332,7 +366,7 @@ class TestEncode:
         rng = np.random.default_rng(15)
         book = _random_codebook(rng)
         vector = encode(book, DescriptorSet("s", np.empty((0, 3), dtype=np.float32)))
-        assert vector.is_empty
+        assert vector.n_descriptors == 0
         assert np.all(vector.values == 0.0)
 
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ class TestLoadManifest:
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a"\n')
         with pytest.raises(ManifestError, match="line 1"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("seg_id", ["../../../escaped", "a/b", "a\\b", "a\0b", "a\tb", "a\rb", "a\nb", ".", ".."])
+    def test_id_that_is_no_file_name_names_line(self, tmp_path, seg_id):
+        # An id names the segment's descriptor files and a field of the prediction TSVs.
+        path = tmp_path / "m.jsonl"
+        record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": seg_id}) + "\n")
+        with pytest.raises(ManifestError, match="line 2: id"):
+            load_manifest(path)
+
+    def test_boolean_sentiment_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "audio": "a", "video": "a", "sentiment": true, "split": "train"}\n')
+        with pytest.raises(ManifestError, match="line 1: sentiment True is not a number"):
             load_manifest(path)
 
     def test_roundtrip(self, tmp_path):

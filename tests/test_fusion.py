@@ -14,7 +14,6 @@ from bofsent.fusion import (
     score_level_fuse,
     ternary_quantize,
     theta_candidates,
-    write_scores,
 )
 from bofsent.metrics import compute_report, scale_confidence
 from util import (
@@ -23,7 +22,6 @@ from util import (
     per_row_report,
     per_row_scale_confidence,
     per_row_score_fuse,
-    read_scores,
 )
 
 P, N = True, False
@@ -281,11 +279,3 @@ class TestPerRowReference:
             )
             assert dataclasses.asdict(report) == dataclasses.asdict(reference)
             assert all(type(count) is int for count in dataclasses.asdict(report.confusion).values())
-
-
-class TestScoreFiles:
-    def test_roundtrip(self, tmp_path):
-        rows = [("a", "audio", 0.125), ("a", "video", 0.875), ("b", "audio", 1.0), ("b", "video", 0.0)]
-        path = tmp_path / "scores.tsv"
-        write_scores(path, rows)
-        assert read_scores(path) == rows

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bofsent import atomic, classifier, cli, descriptors, fusion, pipeline
+from bofsent import atomic, classifier, cli, codebook, descriptors, fusion, pipeline
 from bofsent.classifier import LinearSvmModel, write_svm_model
 from bofsent.codebook import GmmCodebook, write_codebook
 from bofsent.config import (
@@ -22,7 +22,6 @@ from bofsent.fusion import score_level_fuse
 from bofsent.prosody import ProsodyConfig
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig
-from util import read_scores
 
 SYNTH = SynthConfig(n_train=24, n_validation=12, duration=0.8, frames=14, height=36, width=36)
 CONFIG = PipelineConfig(
@@ -88,6 +87,45 @@ class TestConfig:
         assert extract_hash(base) != extract_hash(changed_audio)
         assert train_hash(base) != train_hash(dataclasses.replace(base, seed=1))
         assert train_hash(base) != train_hash(changed_audio)
+
+    def test_hashes_keep_their_digests(self):
+        # Digests that earlier versions recorded, so the run directories they built stay fresh.
+        assert extract_hash(PipelineConfig()) == "e3fb622ff9fc6717"
+        assert train_hash(PipelineConfig()) == "e1ebfe694afd39b0"
+        workloads = {
+            "d771f9bd9b176431": dict(codebook_size=16, sample_budget=20_000, svm_max_epochs=100),
+            "fc0291761da545b0": dict(
+                codebook_size=256, sample_budget=16_000, gmm_max_iters=5, c_exponent_min=0, c_exponent_max=0, cv_folds=2
+            ),
+            "70007e567f0446fd": dict(
+                codebook_size=16, sample_budget=4_000, gmm_max_iters=20, c_exponent_min=0, c_exponent_max=0, cv_folds=2
+            ),
+        }
+        for digest, fields in workloads.items():
+            assert train_hash(PipelineConfig(seed=7, **fields)) == digest
+
+    def test_each_field_feeds_exactly_one_hash_or_fusion(self):
+        base = PipelineConfig()
+        changed = {
+            "audio": ProsodyConfig(window=0.03),
+            "video": DetectorConfig(threshold=1e-3),
+            "fusion_mode": "output",
+            "theta": 0.4,
+            "theta_grid_step": 0.25,
+        }
+        sections = {}
+        for f in dataclasses.fields(PipelineConfig):
+            value = changed[f.name] if f.name in changed else getattr(base, f.name) + 1
+            config = dataclasses.replace(base, **{f.name: value})
+            if extract_hash(config) != extract_hash(base):
+                assert train_hash(config) != train_hash(base), f.name
+                sections[f.name] = "extract"
+            else:
+                sections[f.name] = "train" if train_hash(config) != train_hash(base) else "fusion"
+        fusion_time = {"fusion_mode", "theta", "theta_grid_step"}
+        assert {name for name, section in sections.items() if section == "extract"} == {"audio", "video"}
+        assert {name for name, section in sections.items() if section == "fusion"} == fusion_time
+        assert len(sections) == 16
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(7, "gmm", "audio") == derive_seed(7, "gmm", "audio")
@@ -186,7 +224,6 @@ ARTIFACT_WRITERS = {
         DescriptorSet("s", np.zeros((3, 2), dtype=np.float32)),
         DescriptorSet("s", np.ones((5, 2), dtype=np.float32)),
     ),
-    "scores": (fusion.write_scores, [("s", "audio", 0.25)], [("s", "audio", 0.75), ("s", "video", 0.5)]),
     "json": (pipeline._write_json, {"theta": 0.2}, {"theta": 0.8, "split": "validation"}),
     "text": (atomic.write_text, "old report\n", "new report, longer than the old one\n"),
 }
@@ -280,20 +317,21 @@ class TestEvaluate:
             corpus, "validation", CONFIG, trained, fusion_mode="score", theta=0.5
         )
         assert result.theta == 0.5
-        scores = {}
-        for seg_id, modality, value in read_scores(trained / "scores" / "validation.tsv"):
-            scores.setdefault(seg_id, {})[modality] = value
         predictions = (trained / "predictions" / "validation.tsv").read_text().splitlines()[1:]
         columns = zip(*(line.split("\t") for line in predictions))
         seg_ids, audio_scores, video_scores, fused_scores, labels, _ = columns
         audio, video = np.array(audio_scores, dtype=float), np.array(video_scores, dtype=float)
         expected_fused, expected_positive = score_level_fuse(audio, video, 0.5)
-        for seg_id, audio_score, fused_score, label, fused, positive in zip(
-            seg_ids, audio, fused_scores, labels, expected_fused, expected_positive
-        ):
+        for fused_score, label, fused, positive in zip(fused_scores, labels, expected_fused, expected_positive):
             assert float(fused_score) == pytest.approx(fused, abs=1e-12)
             assert label == ("positive" if positive else "negative")
-            assert scores[seg_id]["audio"] == pytest.approx(float(audio_score))
+        book = codebook.read_codebook(pipeline.codebook_path(trained, "audio"))
+        model = classifier.read_svm_model(pipeline.svm_path(trained, "audio"))
+        X = np.stack(
+            [codebook.encode(book, read_descriptors(pipeline.descriptor_path(trained, "audio", s))).values for s in seg_ids]
+        )
+        expected_audio = classifier.normalize_score(model, classifier.decision_distances(model, X))
+        assert audio.tolist() == expected_audio.tolist()
 
     @pytest.mark.parametrize("theta", [1.5, -0.25])
     def test_bad_theta_rejected_before_writing(self, corpus, trained, theta):

@@ -1,8 +1,11 @@
-"""Every binary reader rejects a cut or padded file with ValueError."""
+"""Every binary reader rejects a cut, padded or crafted file with ValueError."""
+import re
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +77,19 @@ def test_cut_or_padded_file_raises_value_error(name, n, seed, extra):
         assert accepted == [], f"{name}: prefixes of {len(data)} bytes read without error"
         if strict_end:
             assert _rejects(read, path, data + extra), f"{name}: trailing byte accepted"
+
+
+@pytest.mark.parametrize(
+    ("name", "data", "read"),
+    [
+        # 24 bytes: 10**12 rows of 0-d descriptors and an empty id, which once read as a set of that length
+        pytest.param("crafted.dsc", struct.pack("<4sIIQI", b"DSC1", 1, 0, 10**12, 0), read_descriptors, id="DSC1-dim-0"),
+        # headerless PCM half a sample long, once numpy's error without the file's name
+        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, 8000), id="PCM-odd-bytes"),
+    ],
+)
+def test_crafted_file_raises_value_error_naming_it(tmp_path, name, data, read):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read(path)

@@ -19,6 +19,7 @@ from util import (
     box_sum,
     brute_box_sum,
     full_field_detect,
+    full_hessian_field,
     hessian_response,
     per_point_describe,
     point_rows,
@@ -109,13 +110,20 @@ class TestHessianResponse:
     def test_field_matches_point_queries(self):
         volume = blob_volume((20, 32, 32), (10.0, 16.0, 16.0), 2.5, 2.0)
         table = build_integral(volume)
-        field = hessian_response_field(table, 1.2, 1.0)
+        field = full_hessian_field(table, 1.2, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = int(rng.integers(6, 14))
             y = int(rng.integers(10, 22))
             x = int(rng.integers(10, 22))
             assert field[t, y, x] == pytest.approx(hessian_response(table, x, y, t, 1.2, 1.0), abs=1e-12)
+
+    def test_field_spans_the_filter_box(self):
+        # Margins are (4, 4, 4) at (1.2, 1.0), (13, 7, 7) at (2.4, 4.0) and (4, 28, 28) at (9.0, 1.0).
+        table = build_integral(FrameVolume(frames=np.zeros((12, 40, 40)), frame_rate=10.0))
+        assert hessian_response_field(table, 1.2, 1.0).shape == (4, 32, 32)
+        assert hessian_response_field(table, 2.4, 4.0).shape == (0, 26, 26)
+        assert hessian_response_field(table, 9.0, 1.0).shape == (4, 0, 0)
 
 
 class TestDetect:

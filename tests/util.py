@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +54,15 @@ def interp_salience(
     return float(scores.max())
 
 
+def full_hessian_field(table, sigma_s, sigma_t) -> np.ndarray:
+    """``video.hessian_response_field`` pasted into a whole-volume field of zeros at its filter margins."""
+    det = hessian_response_field(table, sigma_s, sigma_t)
+    margins = _filter_bank(float(sigma_s), float(sigma_t))[1]
+    full = np.zeros(tuple(n - 1 for n in table.shape))
+    full[tuple(slice(m, m + n) for m, n in zip(margins, det.shape))] = det
+    return full
+
+
 def full_field_detect(table, config) -> list[tuple]:
     """(t, y, x, sigma_s, sigma_t, response) of each strict maximum of |det H| over space, time and scale.
 
@@ -63,7 +71,7 @@ def full_field_detect(table, config) -> list[tuple]:
     orders them.
     """
     fields = {
-        (si, ti): np.abs(hessian_response_field(table, sigma_s, sigma_t))
+        (si, ti): np.abs(full_hessian_field(table, sigma_s, sigma_t))
         for si, sigma_s in enumerate(config.spatial_scales)
         for ti, sigma_t in enumerate(config.temporal_scales)
     }
@@ -363,17 +371,3 @@ def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_se
         confusion=cm,
         degenerate=tuple(flags),
     )
-
-
-def read_scores(path) -> list[tuple[str, str, float]]:
-    """(segment_id, modality, score) records of a ``fusion.write_scores`` file."""
-    rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated fields")
-        seg_id, modality, raw = parts
-        rows.append((seg_id, modality, float(raw)))
-    return rows

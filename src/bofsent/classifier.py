@@ -1,21 +1,22 @@
 """Linear SVM training, cross-validated regularization search, confidence scoring.
 
-The solver is dual coordinate descent on the L1-hinge objective with the bias
-folded into the weight vector (the feature matrix is augmented with a constant
-column, so the bias is regularized along with the weights):
+The model is the L1-hinge SVM with the bias folded into the weight vector (the
+feature matrix is augmented with a constant column, so the bias is regularized
+along with the weights):
 
     min_{w,b}  0.5 * (||w||^2 + b^2) + C * sum_i max(0, 1 - y_i (w . x_i + b))
 
-Coordinate order is a fresh seeded permutation each epoch, so training is
-bit-for-bit reproducible. Confidence scores are signed margins min-max
-normalized with bounds captured on the training set and clamped at test time.
+It is fitted through its dual by a deterministic primal-dual interior-point
+method that stops at a stated relative duality gap, so training is bit-for-bit
+reproducible. Confidence scores are signed margins min-max normalized with
+bounds captured on the training set and clamped at test time.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +27,11 @@ _SVM_HEADER = struct.Struct("<4sIdddd")
 
 C_EXPONENT_MIN = -3
 C_EXPONENT_MAX = 15
+
+_STEP_TO_BOUNDARY = 0.99  # fraction of the way to the nearest bound taken per step
+# Give up once the complementarity gap, which bounds the true gap in exact
+# arithmetic, is this far below the target: rounding then holds the true gap up.
+_STALL_FACTOR = 1e-3
 
 
 def c_grid(exponent_min: int = C_EXPONENT_MIN, exponent_max: int = C_EXPONENT_MAX) -> tuple[float, ...]:
@@ -38,15 +44,27 @@ def select_c(table: Sequence[tuple[float, float]]) -> float:
     return min(table, key=lambda row: (-row[1], row[0]))[0]
 
 
+class SvmSolve(NamedTuple):
+    """How one dual solve ended: Newton iterations, final relative duality gap, and whether it met the tolerance."""
+
+    iterations: int
+    gap: float
+    converged: bool
+
+
 @dataclass(eq=False)
 class LinearSvmModel:
-    """Trained separator plus the score-normalization bounds learned at fit time."""
+    """Trained separator plus the score-normalization bounds learned at fit time.
+
+    ``solve`` records how training ended; a model read from disk has none.
+    """
 
     w: np.ndarray
     b: float
     C: float
     score_min: float
     score_max: float
+    solve: SvmSolve | None = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
@@ -60,7 +78,7 @@ class LinearSvmModel:
         return self.w.size
 
 
-def _validate_problem(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validate_problem(X: np.ndarray, y: np.ndarray, C: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -69,63 +87,113 @@ def _validate_problem(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise ValueError("y must have one entry per row of X")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds NaN or infinite values")
     if not (set(np.unique(y)) <= {-1.0, 1.0}):
         raise ValueError("labels must be -1 or +1")
     if (y > 0).all() or (y < 0).all():
         raise ValueError("both classes must be present")
+    if C is not None and not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C!r}")
     return X, y
+
+
+def _signed_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dual's rows z_i = y_i * [x_i, 1]."""
+    return np.hstack([X, np.ones((X.shape[0], 1))]) * y[:, None]
+
+
+def _primal(v: np.ndarray, signed: np.ndarray, C: float) -> float:
+    return float(0.5 * (v @ v) + C * np.maximum(1.0 - signed @ v, 0.0).sum())
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
     """Primal objective value (regularizer includes the bias term)."""
-    margins = 1.0 - y * (X @ w + b)
-    hinge = np.maximum(margins, 0.0).sum()
-    return float(0.5 * (w @ w + b * b) + C * hinge)
+    X = np.asarray(X, dtype=np.float64)
+    return _primal(np.append(w, b), _signed_rows(X, np.asarray(y, dtype=np.float64)), C)
+
+
+def _max_step(point, direction) -> float:
+    """Largest step along ``direction`` that keeps every array of ``point`` nonnegative."""
+    limits = [-x[dx < 0] / dx[dx < 0] for x, dx in zip(point, direction)]
+    return float(min((limit.min() for limit in limits if limit.size), default=np.inf))
+
+
+def _solve_dual(signed: np.ndarray, C: float, max_iters: int, tol: float) -> tuple[np.ndarray, SvmSolve]:
+    """Mehrotra predictor-corrector on min 0.5 ||Z^T a||^2 - 1^T a, 0 <= a <= C; returns Z^T a.
+
+    Iterates: a, its upper slack u (carried apart, as C - a cancels at large C)
+    and the multipliers s, t of a >= 0 and u >= 0. Each Newton step reduces to
+    (D + Z Z^T) da = r, D = s/a + t/u, which Sherman-Morrison-Woodbury turns into
+    the d x d system (I + Z^T D^-1 Z) q = Z^T D^-1 r, da = D^-1 (r - Z q). That is
+    solved as least squares through a QR factorization of [D^-1/2 Z; I], which
+    stays accurate where a Cholesky factor of the formed matrix broke down.
+    Returns the Z^T a with the smallest relative duality gap seen.
+    """
+    n, d = signed.shape
+    alpha = np.full(n, 0.5 * C)
+    upper = np.full(n, 0.5 * C)
+    grad = signed @ (signed.T @ alpha) - 1.0
+    s = np.maximum(grad, 0.0) + 1.0  # s - t = grad: the first dual residual is zero
+    t = np.maximum(-grad, 0.0) + 1.0
+    stacked = np.vstack([signed, np.eye(d)])
+    best = None
+    iterations = 0
+    while True:
+        feasible = np.minimum(alpha, C)
+        v = signed.T @ feasible
+        primal = _primal(v, signed, C)
+        gap = (primal - feasible.sum() + 0.5 * (v @ v)) / max(1.0, abs(primal))
+        if best is None or gap < best[1]:
+            best = (v, gap)
+        complementarity = alpha @ s + upper @ t
+        stalled = complementarity <= _STALL_FACTOR * tol * max(1.0, abs(primal))
+        if not np.isfinite(gap) or gap <= tol or iterations >= max_iters or stalled:
+            break
+        iterations += 1
+
+        r_dual = grad - s + t
+        r_box = C - alpha - upper
+        root = np.sqrt(1.0 / (s / alpha + t / upper))
+        stacked[:n] = signed * root[:, None]
+        q_top = np.linalg.qr(stacked)[0][:n]
+
+        def newton(target_s, target_t):
+            """Newton direction with s*da + a*ds = target_s and t*du + u*dt = target_t."""
+            scaled = root * (t / upper * r_box - r_dual + target_s / alpha - target_t / upper)
+            da = root * (scaled - q_top @ (q_top.T @ scaled))
+            du = r_box - da
+            return da, du, (target_s - s * da) / alpha, (target_t - t * du) / upper
+
+        point = (alpha, upper, s, t)
+        da, du, ds, dt = affine = newton(-alpha * s, -upper * t)
+        beta = min(1.0, _max_step(point, affine))
+        predicted = (alpha + beta * da) @ (s + beta * ds) + (upper + beta * du) @ (t + beta * dt)
+        centering = (predicted / complementarity) ** 3 * complementarity / (2 * n)
+        step = newton(centering - alpha * s - da * ds, centering - upper * t - du * dt)
+        beta = min(1.0, _STEP_TO_BOUNDARY * _max_step(point, step))
+        alpha, upper, s, t = (x + beta * dx for x, dx in zip(point, step))
+        grad = signed @ (signed.T @ alpha) - 1.0
+    v, gap = best
+    return v, SvmSolve(iterations, float(gap), bool(gap <= tol))
 
 
 def train_svm(
     X: np.ndarray,
     y: np.ndarray,
     C: float,
-    seed: int,
     max_epochs: int = 1000,
     tol: float = 1e-6,
 ) -> LinearSvmModel:
-    """Fit the separator by dual coordinate descent with a seeded permutation schedule."""
-    X, y = _validate_problem(X, y)
-    if C <= 0:
-        raise ValueError("C must be positive")
-    n, dim = X.shape
-    augmented = np.hstack([X, np.ones((n, 1))])
-    signed = augmented * y[:, None]  # rows y_i * x_i, the only form the updates need
-    diag = (augmented * augmented).sum(axis=1)
-    alpha = [0.0] * n
-    v = np.zeros(dim + 1)
-    rng = np.random.default_rng(seed)
+    """Fit the separator by an interior-point solve of the dual.
 
-    for _ in range(max_epochs):
-        pg_max = -np.inf
-        pg_min = np.inf
-        for i in rng.permutation(n):
-            zi = signed[i]
-            gradient = float(zi @ v) - 1.0
-            a = alpha[i]
-            if a <= 0.0:
-                projected = min(gradient, 0.0)
-            elif a >= C:
-                projected = max(gradient, 0.0)
-            else:
-                projected = gradient
-            pg_max = max(pg_max, projected)
-            pg_min = min(pg_min, projected)
-            if abs(projected) > 1e-14:
-                updated = min(max(a - gradient / diag[i], 0.0), C)
-                if updated != a:
-                    v += (updated - a) * zi
-                    alpha[i] = updated
-        if pg_max - pg_min <= tol:
-            break
-
+    ``max_epochs`` caps the interior-point iterations and ``tol`` is the relative
+    duality gap (P(w, b) - D(a)) / max(1, |P(w, b)|) at which the solve stops;
+    the model's ``solve`` records where it ended.
+    """
+    X, y = _validate_problem(X, y, C)
+    dim = X.shape[1]
+    v, solve = _solve_dual(_signed_rows(X, y), float(C), max_epochs, tol)
     w = v[:dim].copy()
     b = float(v[dim])
     norm = float(np.linalg.norm(w))
@@ -136,7 +204,7 @@ def train_svm(
     score_max = float(distances.max())
     if not score_min < score_max:
         raise ValueError("degenerate normalization bounds: all training distances equal")
-    return LinearSvmModel(w=w, b=b, C=float(C), score_min=score_min, score_max=score_max)
+    return LinearSvmModel(w=w, b=b, C=float(C), score_min=score_min, score_max=score_max, solve=solve)
 
 
 def decision_distances(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
@@ -183,19 +251,27 @@ def cv_accuracy_table(
     c_grid: Sequence[float] = c_grid(),
     max_epochs: int = 1000,
     tol: float = 1e-6,
+    solves: list[dict] | None = None,
 ) -> list[tuple[float, float]]:
-    """Mean held-out fold accuracy for every regularization candidate."""
+    """Mean held-out fold accuracy for every regularization candidate.
+
+    ``seed`` draws the stratified folds. When ``solves`` is given, one
+    {"C", "fold", "iterations", "gap", "converged"} record per (C, fold) is
+    appended to it, in table order.
+    """
     X, y = _validate_problem(X, y)
     folds = stratified_folds(y, n_folds, seed)
     all_idx = np.arange(X.shape[0])
     table = []
     for C in c_grid:
         accuracies = []
-        for fold in folds:
+        for index, fold in enumerate(folds):
             train_mask = np.ones(X.shape[0], dtype=bool)
             train_mask[fold] = False
             train_idx = all_idx[train_mask]
-            model = train_svm(X[train_idx], y[train_idx], C, seed, max_epochs=max_epochs, tol=tol)
+            model = train_svm(X[train_idx], y[train_idx], C, max_epochs=max_epochs, tol=tol)
+            if solves is not None:
+                solves.append({"C": C, "fold": index, **model.solve._asdict()})
             raw = X[fold] @ model.w + model.b
             predicted = np.where(raw > 0.0, 1.0, -1.0)
             accuracies.append(float((predicted == y[fold]).mean()))

@@ -20,6 +20,10 @@ class PipelineConfig:
     validation over C exponents [-3, 15] and the 0.2-step fusion weight grid
     are the reference operating point; everything is overridable from a JSON
     config file.
+
+    ``svm_max_epochs`` caps the iterations of each SVM's interior-point solve
+    and ``svm_tol`` is the relative duality gap at which a solve stops; a
+    solve that stops short of it is recorded as unconverged and warned of.
     """
 
     audio: ProsodyConfig = field(default_factory=ProsodyConfig)

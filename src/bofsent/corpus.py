@@ -88,12 +88,14 @@ def _parse_record(raw: dict, line_no: int) -> Segment:
         raise ManifestError(
             f"line {line_no}: id {seg_id!r} must not be '.' or '..' or hold '/', '\\', NUL, tab, CR or LF"
         )
-    try:
-        if isinstance(raw["sentiment"], bool):  # float(True) would read as 1.0
-            raise TypeError
-        sentiment = float(raw["sentiment"])
-    except (TypeError, ValueError):
-        raise ManifestError(f"line {line_no}: sentiment {raw['sentiment']!r} is not a number") from None
+    for key in ("audio", "video"):
+        if not isinstance(raw[key], str) or not raw[key]:
+            raise ManifestError(f"line {line_no}: '{key}' must be a non-empty string")
+    sentiment = raw["sentiment"]
+    # A JSON number only: bool is an int subclass, and a string must not pass through float().
+    if isinstance(sentiment, bool) or not isinstance(sentiment, (int, float)):
+        raise ManifestError(f"line {line_no}: sentiment {sentiment!r} is not a number")
+    sentiment = float(sentiment)
     if not SENTIMENT_MIN <= sentiment <= SENTIMENT_MAX:
         raise ManifestError(
             f"line {line_no}: sentiment {sentiment} outside [{SENTIMENT_MIN}, {SENTIMENT_MAX}]"
@@ -107,8 +109,8 @@ def _parse_record(raw: dict, line_no: int) -> Segment:
             raise ManifestError(f"line {line_no}: sample_rate must be a positive integer")
     return Segment(
         id=seg_id,
-        audio_path=str(raw["audio"]),
-        video_path=str(raw["video"]),
+        audio_path=raw["audio"],
+        video_path=raw["video"],
         sentiment=sentiment,
         split=split,
         sample_rate=sample_rate,

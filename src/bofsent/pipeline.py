@@ -230,33 +230,34 @@ def run_train(
         )
         X = np.stack([codebook.encode(book, dset).values for dset in sets])
         y = np.array([label.value for label in labels], dtype=np.float64)
-        cv_seed = derive_seed(config.seed, "cv", modality)
+        solves: list[dict] = []
         table = classifier.cv_accuracy_table(
             X,
             y,
-            cv_seed,
+            derive_seed(config.seed, "cv", modality),
             n_folds=config.cv_folds,
             c_grid=classifier.c_grid(config.c_exponent_min, config.c_exponent_max),
             max_epochs=config.svm_max_epochs,
             tol=config.svm_tol,
+            solves=solves,
         )
         best_c = classifier.select_c(table)
-        model = classifier.train_svm(
-            X,
-            y,
-            best_c,
-            derive_seed(config.seed, "svm", modality),
-            max_epochs=config.svm_max_epochs,
-            tol=config.svm_tol,
-        )
+        model = classifier.train_svm(X, y, best_c, max_epochs=config.svm_max_epochs, tol=config.svm_tol)
+        final = {"C": best_c, **model.solve._asdict()}
         logger.info("%s: selected C=%g (cv accuracy %.4f)", modality, best_c, dict(table)[best_c])
+        _warn_unconverged(modality, [*solves, final], config)
 
         out_dir.joinpath("models").mkdir(parents=True, exist_ok=True)
         codebook.write_codebook(codebook_path(out_dir, modality), book)
         classifier.write_svm_model(svm_path(out_dir, modality), model)
         _write_json(
             out_dir / "models" / f"{modality}_cv.json",
-            {"selected_c": best_c, "table": [[C, acc] for C, acc in table]},
+            {
+                "selected_c": best_c,
+                "table": [[C, acc] for C, acc in table],
+                "solves": solves,
+                "final": final,
+            },
         )
         selected[modality] = best_c
 
@@ -264,6 +265,17 @@ def run_train(
     state["train"] = {"hash": train_hash(config), "seed": config.seed}
     _save_state(out_dir, state)
     return selected
+
+
+def _warn_unconverged(modality: str, solves: list[dict], config: PipelineConfig) -> None:
+    """One warning per C at which some SVM solve stopped short of ``svm_tol``."""
+    stopped = [solve for solve in solves if not solve["converged"]]
+    for C in sorted({solve["C"] for solve in stopped}):
+        gaps = [solve["gap"] for solve in stopped if solve["C"] == C]
+        logger.warning(
+            "%s: %d SVM solve(s) at C=%g stopped short of svm_tol=%g within svm_max_epochs=%d (largest gap %.3g)",
+            modality, len(gaps), C, config.svm_tol, config.svm_max_epochs, max(gaps)
+        )
 
 
 # ---------------------------------------------------------------------------

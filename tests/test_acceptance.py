@@ -161,7 +161,7 @@ def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
         y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         C = float(rng.choice([0.1, 0.5, 1.0, 5.0, 10.0]))
-        model = train_svm(X, y, C, seed=problem)
+        model = train_svm(X, y, C)
         ours = svm_objective(model.w, model.b, X, y, C)
         w_ref, b_ref = subgradient_svm(X, y, C, iters=150_000)
         reference = svm_objective(w_ref, b_ref, X, y, C)
@@ -171,7 +171,7 @@ def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
     gap_neg = rng.uniform([-3.0, -1.0], [-1.0, 1.0], (25, 2))
     X = np.vstack([gap_pos, gap_neg])
     y = np.array([1.0] * 25 + [-1.0] * 25)
-    model = train_svm(X, y, C=1.0, seed=0)
+    model = train_svm(X, y, C=1.0)
     assert (np.where(X @ model.w + model.b > 0, 1.0, -1.0) != y).sum() == 0
 
     Xc = rng.normal(0, 1, (60, 3))

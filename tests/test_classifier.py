@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bofsent.classifier import (
+    C_EXPONENT_MAX,
+    C_EXPONENT_MIN,
     LinearSvmModel,
     cv_accuracy_table,
     decision_distances,
@@ -14,7 +18,7 @@ from bofsent.classifier import (
     train_svm,
     write_svm_model,
 )
-from util import subgradient_svm
+from util import dcd_reference, subgradient_svm
 
 
 def _separable_toy(rng, n_per_class=50, gap=2.0):
@@ -31,14 +35,14 @@ class TestTrainSvm:
     def test_separable_toy_zero_errors(self):
         rng = np.random.default_rng(0)
         X, y = _separable_toy(rng, n_per_class=50, gap=2.0)
-        model = train_svm(X, y, C=1.0, seed=0)
+        model = train_svm(X, y, C=1.0)
         predictions = np.where(X @ model.w + model.b > 0, 1.0, -1.0)
         assert (predictions != y).sum() == 0
 
     def test_symmetric_pair(self):
         X = np.array([[-1.0, 0.0], [1.0, 0.0]])
         y = np.array([-1.0, 1.0])
-        model = train_svm(X, y, C=1000.0, seed=0)
+        model = train_svm(X, y, C=1000.0)
         assert np.sign(X[0] @ model.w + model.b) == -1
         assert np.sign(X[1] @ model.w + model.b) == 1
         assert abs(model.w[1]) < 1e-9 * abs(model.w[0])  # w proportional to (1, 0)
@@ -48,7 +52,7 @@ class TestTrainSvm:
         X = rng.normal(0, 1, (10, 2))
         y = np.where(rng.random(10) > 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
-        model = train_svm(X, y, C=1.0, seed=2)
+        model = train_svm(X, y, C=1.0)
         ours = svm_objective(model.w, model.b, X, y, 1.0)
         w_oracle, b_oracle = subgradient_svm(X, y, 1.0, iters=100_000)
         oracle = svm_objective(w_oracle, b_oracle, X, y, 1.0)
@@ -57,20 +61,92 @@ class TestTrainSvm:
     def test_single_class_rejected(self):
         X = np.ones((4, 2))
         with pytest.raises(ValueError, match="both classes"):
-            train_svm(X, np.ones(4), C=1.0, seed=0)
+            train_svm(X, np.ones(4), C=1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            train_svm(np.empty((0, 2)), np.empty(0), C=1.0, seed=0)
+            train_svm(np.empty((0, 2)), np.empty(0), C=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(14)
+        X, y = _separable_toy(rng, n_per_class=5)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="X holds NaN or infinite values"):
+            train_svm(X, y, C=1.0)
+        with pytest.raises(ValueError, match="X holds NaN or infinite values"):
+            cv_accuracy_table(X, y, seed=0, n_folds=2)
+
+    @pytest.mark.parametrize("C", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_c_rejected(self, C):
+        rng = np.random.default_rng(15)
+        X, y = _separable_toy(rng, n_per_class=5)
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            train_svm(X, y, C=C)
+
+    def test_iteration_cap_reported(self):
+        rng = np.random.default_rng(16)
+        X, y = _separable_toy(rng)
+        capped = train_svm(X, y, C=1.0, max_epochs=1)
+        assert capped.solve.iterations == 1
+        assert capped.solve.gap > 1e-6
+        assert not capped.solve.converged
+        full = train_svm(X, y, C=1.0)
+        assert full.solve.converged and full.solve.gap <= 1e-6
+
+    def test_unreachable_tolerance_stops_early(self):
+        # Features of scale 100 at C = 2^15: rounding keeps the gap near 1e-7,
+        # and the solve ends soon after the complementarity gap passes below it.
+        rng = np.random.default_rng(0)
+        X = rng.normal(0.0, 100.0, (30, 5))
+        y = np.where(rng.random(30) > 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        model = train_svm(X, y, C=2.0**15, tol=1e-12)
+        assert not model.solve.converged
+        assert model.solve.iterations < 50
+        assert model.solve.gap <= 1e-6
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(3)
         X, y = _separable_toy(rng)
-        a = train_svm(X, y, C=4.0, seed=9)
-        b = train_svm(X, y, C=4.0, seed=9)
+        a = train_svm(X, y, C=4.0)
+        b = train_svm(X, y, C=4.0)
         assert np.array_equal(a.w, b.w)
         assert a.b == b.b
         assert (a.score_min, a.score_max) == (b.score_min, b.score_max)
+
+
+class TestSolverProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        dim=st.integers(1, 20),
+        exponent=st.integers(C_EXPONENT_MIN, C_EXPONENT_MAX),
+        rows=st.sampled_from(["distinct", "duplicated", "collinear"]),
+    )
+    def test_gap_reference_and_determinism(self, seed, n, dim, exponent, rows):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (n, dim))
+        if rows == "duplicated":  # every row repeats one of the first max(2, n // 2)
+            X = X[np.concatenate([[0, 1], rng.integers(max(2, n // 2), size=n - 2)])]
+        elif rows == "collinear":
+            X = np.outer(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, dim))
+        y = rng.choice([-1.0, 1.0], n)
+        y[:2] = (1.0, -1.0)
+        C = 2.0**exponent
+
+        reference = svm_objective(*dcd_reference(X, y, C, max_epochs=1000), X, y, C)
+        # The gap bounds P - P* by tol * max(1, |P|), so this tol keeps P within
+        # 1e-9 of the reference's value, which may itself be optimal.
+        tol = 1e-9 * min(1.0, reference)
+        model = train_svm(X, y, C, tol=tol)
+        assert model.solve.converged and model.solve.gap <= tol
+        ours = svm_objective(model.w, model.b, X, y, C)
+        assert ours <= reference + 1e-9 * abs(reference)
+        again = train_svm(X, y, C, tol=tol)
+        assert again.w.tobytes() == model.w.tobytes() and again.b == model.b
+        assert again.solve == model.solve
 
 
 class TestCrossValidation:
@@ -158,7 +234,7 @@ class TestDistancesAndScores:
     def test_normalization_endpoints_and_clamp(self):
         rng = np.random.default_rng(9)
         X, y = _separable_toy(rng)
-        model = train_svm(X, y, C=1.0, seed=0)
+        model = train_svm(X, y, C=1.0)
         assert normalize_score(model, model.score_min) == 0.0
         assert normalize_score(model, model.score_max) == 1.0
         assert normalize_score(model, model.score_max + 5.0) == 1.0
@@ -167,7 +243,7 @@ class TestDistancesAndScores:
     def test_monotone_link(self):
         rng = np.random.default_rng(10)
         X, y = _separable_toy(rng)
-        model = train_svm(X, y, C=1.0, seed=0)
+        model = train_svm(X, y, C=1.0)
         points = rng.normal(0, 2, (50, 2))
         distances = decision_distances(model, points)
         scores = normalize_score(model, distances)
@@ -177,7 +253,7 @@ class TestDistancesAndScores:
     def test_label_consistency_for_unclamped(self):
         rng = np.random.default_rng(11)
         X, y = _separable_toy(rng)
-        model = train_svm(X, y, C=1.0, seed=0)
+        model = train_svm(X, y, C=1.0)
         boundary_score = normalize_score(model, 0.0)
         distances = decision_distances(model, X)
         scores = normalize_score(model, distances)
@@ -194,7 +270,7 @@ class TestModelIo:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
         X, y = _separable_toy(rng)
-        model = train_svm(X, y, C=2.0, seed=1)
+        model = train_svm(X, y, C=2.0)
         path = tmp_path / "m.svm"
         write_svm_model(path, model)
         back = read_svm_model(path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ class TestLoadManifest:
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "audio": "a", "video": "a", "sentiment": true, "split": "train"}\n')
         with pytest.raises(ManifestError, match="line 1: sentiment True is not a number"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("sentiment", ["1.5", "nan", None, [1.0]])
+    def test_non_number_sentiment_names_line(self, tmp_path, sentiment):
+        path = tmp_path / "m.jsonl"
+        record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", "sentiment": sentiment}) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(f"line 2: sentiment {sentiment!r} is not a number")):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field", ["audio", "video"])
+    @pytest.mark.parametrize("value", [None, "", 3, ["a.pcm"]])
+    def test_media_path_not_a_string_names_line(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", field: value}) + "\n")
+        with pytest.raises(ManifestError, match=f"line 2: '{field}' must be a non-empty string"):
             load_manifest(path)
 
     def test_roundtrip(self, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -288,6 +290,35 @@ class TestTrain:
             best = max(acc for _, acc in record["table"])
             assert record["selected_c"] == min(C for C, acc in record["table"] if acc == best)
 
+    def test_solves_recorded_converged(self, trained):
+        for modality in ("audio", "video"):
+            record = json.loads((trained / "models" / f"{modality}_cv.json").read_text())
+            grid = [C for C, _ in record["table"]]
+            assert [(s["C"], s["fold"]) for s in record["solves"]] == [
+                (C, fold) for C in grid for fold in range(CONFIG.cv_folds)
+            ]
+            assert record["final"]["C"] == record["selected_c"]
+            for solve in record["solves"] + [record["final"]]:
+                assert solve["converged"] and solve["gap"] <= CONFIG.svm_tol
+                assert 1 <= solve["iterations"] < CONFIG.svm_max_epochs
+
+    def test_iteration_cap_recorded_and_warned(self, corpus, trained, tmp_path, caplog):
+        out_dir = tmp_path / "capped"
+        shutil.copytree(trained, out_dir)
+        capped = dataclasses.replace(CONFIG, svm_max_epochs=1)
+        with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+            pipeline.run_train(corpus, capped, out_dir)
+        for modality in ("audio", "video"):
+            record = json.loads((out_dir / "models" / f"{modality}_cv.json").read_text())
+            for solve in record["solves"] + [record["final"]]:
+                assert solve["iterations"] == 1 and solve["gap"] > capped.svm_tol
+                assert solve["converged"] is False
+            for C, _ in record["table"]:
+                assert any(
+                    message.startswith(f"{modality}: ") and f" at C={C:g} " in message and "svm_max_epochs=1 " in message
+                    for message in caplog.messages
+                ), (modality, C)
+
     def test_single_class_split_rejected(self, corpus, trained, tmp_path):
         positive_only = Manifest(
             segments=tuple(s for s in corpus if s.label() is Polarity.POSITIVE),
@@ -338,10 +369,12 @@ class TestEvaluate:
         pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score")
 
         def outputs():
-            paths = [p for sub in ("scores", "reports", "predictions") for p in (trained / sub).rglob("*")]
+            paths = [p for sub in ("reports", "predictions") for p in (trained / sub).rglob("*")]
             return {p: p.read_bytes() for p in sorted(paths) + [trained / "artifacts.json"]}
 
         before = outputs()
+        assert trained / "reports" / "validation_theta_trace.json" in before
+        assert trained / "predictions" / "validation.tsv" in before
         with pytest.raises(ValueError, match=f"theta {theta} outside"):
             pipeline.run_evaluate(corpus, "validation", CONFIG, trained, fusion_mode="score", theta=theta)
         with pytest.raises(ValueError, match=f"theta {theta} outside"):

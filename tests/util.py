@@ -2,7 +2,9 @@
 
 Oracles here must stay naive and independent of the library code paths they
 check: direct density products instead of log-sum-exp, brute-force sums
-instead of integral tables, subgradient descent instead of coordinate descent.
+instead of integral tables, subgradient descent instead of an interior-point
+solve. ``dcd_reference`` keeps the SVM's former solver, dual coordinate descent
+with a seeded permutation per epoch, as the reference its replacement must match.
 The ``unblocked_*`` functions keep the codebook's former all-rows-at-once
 formulas (two exps, exact column sums) as the reference for its blocked kernels.
 The ``per_row_*`` functions keep the former one-segment-at-a-time fusion and
@@ -284,6 +286,46 @@ def subgradient_svm(X, y, C, iters: int = 150_000) -> tuple[np.ndarray, float]:
         weight_sum += weight
         averaged += weight * (v - averaged) / weight_sum
     return averaged[:dim], float(averaged[dim])
+
+
+def dcd_reference(X, y, C, seed: int = 0, max_epochs: int = 1000, tol: float = 1e-6) -> tuple[np.ndarray, float]:
+    """Dual coordinate descent on the hinge SVM, one Python step per coordinate.
+
+    Stops when the spread of the projected gradient is at most ``tol`` or after
+    ``max_epochs`` passes, whichever comes first.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, dim = X.shape
+    augmented = np.hstack([X, np.ones((n, 1))])
+    signed = augmented * y[:, None]
+    diag = (augmented * augmented).sum(axis=1)
+    alpha = [0.0] * n
+    v = np.zeros(dim + 1)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_epochs):
+        pg_max = -np.inf
+        pg_min = np.inf
+        for i in rng.permutation(n):
+            zi = signed[i]
+            gradient = float(zi @ v) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                projected = min(gradient, 0.0)
+            elif a >= C:
+                projected = max(gradient, 0.0)
+            else:
+                projected = gradient
+            pg_max = max(pg_max, projected)
+            pg_min = min(pg_min, projected)
+            if abs(projected) > 1e-14:
+                updated = min(max(a - gradient / diag[i], 0.0), C)
+                if updated != a:
+                    v += (updated - a) * zi
+                    alpha[i] = updated
+        if pg_max - pg_min <= tol:
+            break
+    return v[:dim].copy(), float(v[dim])
 
 
 def per_row_score_fuse(video: float, audio: float, theta: float) -> tuple[float, bool]:

@@ -196,10 +196,7 @@ def train_svm(
     v, solve = _solve_dual(_signed_rows(X, y), float(C), max_epochs, tol)
     w = v[:dim].copy()
     b = float(v[dim])
-    norm = float(np.linalg.norm(w))
-    if norm <= 0.0:
-        raise ValueError("degenerate separator: zero weight vector")
-    distances = (X @ w + b) / norm
+    distances = _distances(w, b, X)
     score_min = float(distances.min())
     score_max = float(distances.max())
     if not score_min < score_max:
@@ -207,15 +204,19 @@ def train_svm(
     return LinearSvmModel(w=w, b=b, C=float(C), score_min=score_min, score_max=score_max, solve=solve)
 
 
+def _distances(w: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(w))
+    if norm <= 0.0:
+        raise ValueError("degenerate separator: zero weight vector")
+    return (X @ w + b) / norm
+
+
 def decision_distances(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
     """Signed distances from the separating hyperplane, (w.x + b) / ||w||."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"expected (n, {model.dim}) inputs")
-    norm = float(np.linalg.norm(model.w))
-    if norm <= 0.0:
-        raise ValueError("degenerate separator: zero weight vector")
-    return (X @ model.w + model.b) / norm
+    return _distances(model.w, model.b, X)
 
 
 def normalize_score(model: LinearSvmModel, distance) -> np.ndarray:
@@ -272,8 +273,7 @@ def cv_accuracy_table(
             model = train_svm(X[train_idx], y[train_idx], C, max_epochs=max_epochs, tol=tol)
             if solves is not None:
                 solves.append({"C": C, "fold": index, **model.solve._asdict()})
-            raw = X[fold] @ model.w + model.b
-            predicted = np.where(raw > 0.0, 1.0, -1.0)
+            predicted = np.where(decision_distances(model, X[fold]) > 0.0, 1.0, -1.0)
             accuracies.append(float((predicted == y[fold]).mean()))
         table.append((C, float(np.mean(accuracies))))
     return table

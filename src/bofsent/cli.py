@@ -12,9 +12,9 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline
-from .config import PipelineConfig, config_to_dict, dump_config, extract_hash, load_config, train_hash
-from .corpus import ManifestError, load_manifest
+from . import fusion, pipeline
+from .config import PipelineConfig, dump_config, extract_hash, load_config, train_hash
+from .corpus import SPLITS, ManifestError, load_manifest
 from .synth import SynthConfig, generate_corpus
 
 logger = logging.getLogger(__name__)
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract low-level descriptors per segment")
     common(p)
-    p.add_argument("--modality", choices=("audio", "video", "both"), default="both")
+    p.add_argument("--modality", choices=(*pipeline.MODALITIES, "both"), default="both")
     p.add_argument("--workers", type=int, default=1, help="parallel extraction workers")
 
     p = sub.add_parser("train", help="fit codebooks and SVMs from the training split")
@@ -46,14 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a split, fuse, and report metrics")
     common(p)
-    p.add_argument("--split", default="validation", choices=("train", "validation", "test"))
-    p.add_argument("--fusion", choices=("score", "output"), help="fusion mode override")
+    p.add_argument("--split", default="validation", choices=SPLITS)
+    p.add_argument("--fusion", choices=fusion.MODES, help="fusion mode override")
     p.add_argument("--theta", type=float, help="fixed score-fusion weight in [0, 1]")
 
     p = sub.add_parser("predict", help="emit fused predictions without ground truth")
     common(p)
-    p.add_argument("--split", choices=("train", "validation", "test"), help="restrict to one split")
-    p.add_argument("--fusion", choices=("score", "output"), help="fusion mode override")
+    p.add_argument("--split", choices=SPLITS, help="restrict to one split")
+    p.add_argument("--fusion", choices=fusion.MODES, help="fusion mode override")
     p.add_argument("--theta", type=float, help="fixed score-fusion weight in [0, 1]")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with a manifest")
@@ -79,7 +79,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _cmd_extract(args) -> int:
     config = _load_pipeline_config(args)
     manifest = load_manifest(args.manifest)
-    modalities = ("audio", "video") if args.modality == "both" else (args.modality,)
+    modalities = pipeline.MODALITIES if args.modality == "both" else (args.modality,)
     result = pipeline.run_extract(
         manifest, config, args.out_dir, modalities=modalities, workers=args.workers, force=args.force
     )
@@ -164,7 +164,7 @@ def _cmd_report(args) -> int:
     summary = {"out_dir": str(out_dir), "state": state}
     if args.config:
         config = load_config(args.config)
-        summary["config"] = config_to_dict(config)
+        summary["config"] = dataclasses.asdict(config)
         summary["hashes"] = {"extract": extract_hash(config), "train": train_hash(config)}
     reports_dir = out_dir / "reports"
     if reports_dir.is_dir():

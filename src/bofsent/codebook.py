@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class MidLevelVector:
 
 
 def sample_balanced(
-    sets: Sequence[tuple[DescriptorSet, Polarity]], budget: int, seed: int
+    sets: Iterable[tuple[DescriptorSet, Polarity]], budget: int, seed: int
 ) -> np.ndarray:
     """Draw budget/2 descriptors per polarity class, uniformly and seeded.
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classifier, fusion
+from .corpus import Manifest, filter_split
 from .prosody import ProsodyConfig
 from .video import DetectorConfig
 
@@ -38,14 +39,14 @@ class PipelineConfig:
     c_exponent_max: int = classifier.C_EXPONENT_MAX
     svm_max_epochs: int = 1000
     svm_tol: float = 1e-6
-    fusion_mode: str = "score"  # "score" | "output"
+    fusion_mode: str = "score"  # one of fusion.MODES
     theta: float | None = None  # fixed fusion weight; None selects by grid search
     theta_grid_step: float = fusion.THETA_GRID_STEP
     seed: int = 42
 
     def __post_init__(self):
-        if self.fusion_mode not in ("score", "output"):
-            raise ValueError(f"unknown fusion mode {self.fusion_mode!r} (expected 'score' or 'output')")
+        if self.fusion_mode not in fusion.MODES:
+            raise ValueError(f"unknown fusion mode {self.fusion_mode!r} (expected one of {fusion.MODES})")
         if self.theta is not None:
             fusion.check_theta(self.theta)
         if not 0.0 < self.theta_grid_step <= 1.0:
@@ -56,34 +57,28 @@ class PipelineConfig:
 _FUSION_FIELDS = ("fusion_mode", "theta", "theta_grid_step")
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    return dataclasses.asdict(config)
+def _from_dict(cls, raw):
+    """``cls`` from a parsed JSON object: nested sections become their config classes and lists tuples."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {type(raw).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields {sorted(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        section = fields[name].default_factory
+        if dataclasses.is_dataclass(section):
+            value = _from_dict(section, value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[name] = value
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    raw = dict(raw)
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config fields {sorted(unknown)}")
-
-    def sub(cls, value):
-        if value is None:
-            return cls()
-        fields = {f.name for f in dataclasses.fields(cls)}
-        bad = set(value) - fields
-        if bad:
-            raise ValueError(f"unknown {cls.__name__} fields {sorted(bad)}")
-        return cls(**value)
-
-    audio_raw = raw.pop("audio", None)
-    video_raw = raw.pop("video", None)
-    if video_raw:
-        video_raw = dict(video_raw)
-        for key in ("spatial_scales", "temporal_scales"):
-            if key in video_raw:
-                video_raw[key] = tuple(video_raw[key])
-    return PipelineConfig(audio=sub(ProsodyConfig, audio_raw), video=sub(DetectorConfig, video_raw), **raw)
+    """A config from parsed JSON; omitted fields keep their defaults and unknown ones raise ``ValueError``."""
+    return _from_dict(PipelineConfig, raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -95,7 +90,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def dump_config(config: PipelineConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
 
 
 def _digest(payload: dict) -> str:
@@ -105,16 +100,21 @@ def _digest(payload: dict) -> str:
 
 def extract_hash(config: PipelineConfig) -> str:
     """Hash of every setting that shapes descriptor extraction."""
-    raw = config_to_dict(config)
+    raw = dataclasses.asdict(config)
     return _digest({"audio": raw["audio"], "video": raw["video"]})
 
 
 def train_hash(config: PipelineConfig) -> str:
     """Hash of extraction plus every other setting except the fusion-time ones."""
-    raw = config_to_dict(config)
+    raw = dataclasses.asdict(config)
     for key in ("audio", "video", *_FUSION_FIELDS):
         del raw[key]
     return _digest({"extract": extract_hash(config), **raw})
+
+
+def train_labels_hash(manifest: Manifest) -> str:
+    """Hash of the train split's (id, sentiment) rows: the labels ``train`` fits its models to."""
+    return _digest({"labels": [[segment.id, segment.sentiment] for segment in filter_split(manifest, "train")]})
 
 
 def derive_seed(root: int, *tags: str) -> int:

@@ -14,17 +14,17 @@ import numpy as np
 
 from .metrics import confusion, unit_interval
 
+MODES = ("score", "output")
 THETA_GRID_STEP = 0.2
 
 
 def theta_candidates(step: float = THETA_GRID_STEP) -> tuple[float, ...]:
-    """Weights 0, step, 2*step, ... up to 1, plus the equal-weight default 0.5.
+    """Multiples of step in [0, 1], plus 1 and the equal-weight default 0.5.
 
     0.5 is always searched because it is also the preferred tie-break target.
     """
-    steps = int(round(1.0 / step))
-    grid = {round(i * step, 10) for i in range(steps + 1)}
-    return tuple(sorted(grid | {0.5}))
+    grid = {round(i * step, 10) for i in range(int(1.0 / step) + 1)}
+    return tuple(sorted(grid | {0.5, 1.0}))
 
 
 def check_theta(theta: float) -> None:

@@ -9,7 +9,7 @@ abort a run: report assembly records them as flags and substitutes zeros.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -156,9 +156,8 @@ def multiclass_accuracy(
     return float(np.mean(recalls))
 
 
-def binary_accuracies(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """(plain accuracy, mean per-class recall) over bool labels."""
-    cm = confusion(pred, truth)
+def binary_accuracies(cm: ConfusionMatrix) -> tuple[float, float]:
+    """(plain accuracy, mean per-class recall) of a confusion matrix."""
     per_class = ((cm.tp, cm.tp + cm.fn), (cm.tn, cm.tn + cm.fp))
     recalls = [hits / members for hits, members in per_class if members]
     return (cm.tp + cm.tn) / cm.total, float(np.mean(recalls))
@@ -193,7 +192,7 @@ def compute_report(
     except ValueError:
         correlation = 0.0
         flags.append("correlation")
-    plain, weighted = binary_accuracies(pred_labels, truth_labels)
+    plain, weighted = binary_accuracies(cm)
     return MetricReport(
         precision=scores.precision,
         recall=scores.recall,
@@ -214,18 +213,9 @@ def format_report(report: MetricReport, title: str = "") -> str:
     lines = []
     if title:
         lines.append(f"# {title}")
-    for key in (
-        "precision",
-        "recall",
-        "f1",
-        "mae",
-        "correlation",
-        "binary_accuracy",
-        "weighted_binary_accuracy",
-        "acc5",
-        "acc7",
-    ):
-        lines.append(f"{key} {getattr(report, key):.6f}")
+    for f in fields(report):
+        if f.name not in ("confusion", "degenerate"):
+            lines.append(f"{f.name} {getattr(report, f.name):.6f}")
     if report.degenerate:
         lines.append(f"degenerate {','.join(report.degenerate)}")
     cm = report.confusion

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, classifier, codebook, fusion, metrics
-from .config import PipelineConfig, derive_seed, extract_hash, train_hash
+from .config import PipelineConfig, derive_seed, extract_hash, train_hash, train_labels_hash
 from .corpus import Manifest, filter_split
 from .descriptors import DescriptorSet, read_descriptors, write_descriptors
 from .prosody import extract_audio_descriptors, read_pcm
@@ -53,12 +53,8 @@ def svm_path(out_dir: Path, modality: str) -> Path:
     return out_dir / "models" / f"{modality}.svm"
 
 
-def _state_path(out_dir: Path) -> Path:
-    return out_dir / "artifacts.json"
-
-
 def load_state(out_dir: Path) -> dict:
-    path = _state_path(out_dir)
+    path = out_dir / "artifacts.json"
     if not path.exists():
         return {}
     return json.loads(path.read_text(encoding="utf-8"))
@@ -67,7 +63,7 @@ def load_state(out_dir: Path) -> dict:
 def _save_state(out_dir: Path, state: dict) -> None:
     state = dict(state)
     state["updated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    _write_json(_state_path(out_dir), state)
+    _write_json(out_dir / "artifacts.json", state)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -98,7 +94,7 @@ def _extract_one(manifest: Manifest, segment, modality: str, config: PipelineCon
         volume = read_frame_volume(manifest.resolve(segment.video_path))
         rows = extract_video_descriptors(volume, config.video)
     dst.parent.mkdir(parents=True, exist_ok=True)
-    write_descriptors(dst, DescriptorSet(segment_id=segment.id, descriptors=rows.astype(np.float32)))
+    write_descriptors(dst, DescriptorSet(segment_id=segment.id, descriptors=rows))
 
 
 def run_extract(
@@ -160,17 +156,16 @@ def run_extract(
 # shared loading helpers
 
 
-def _check_stage(out_dir: Path, stage: str, current: str, force: bool) -> None:
-    """Raise unless ``stage`` is recorded with hash ``current``; a forced mismatch only warns."""
-    recorded = load_state(out_dir).get(stage, {}).get("hash")
-    if recorded is None:
+def _check_stage(out_dir: Path, stage: str, current: str, force: bool, key: str = "hash") -> None:
+    """Raise unless ``stage``'s record holds ``current`` under ``key``, if it holds ``key``; a forced mismatch only warns."""
+    record = load_state(out_dir).get(stage)
+    if record is None:
         raise PipelineError(f"{out_dir}: no {stage} artifacts recorded; run {stage} first")
+    recorded = record.get(key, current)
     if recorded != current:
-        problem = f"{stage} artifacts were built under a different configuration"
+        problem = f"{stage} artifacts are stale: recorded {key} {recorded}, current {current}"
         if not force:
-            raise StaleArtifactsError(
-                f"{problem} (recorded {recorded}, current {current}); re-run {stage} or pass force"
-            )
+            raise StaleArtifactsError(f"{problem}; re-run {stage} or pass force")
         logger.warning("%s (forced)", problem)
 
 
@@ -212,12 +207,12 @@ def run_train(
         only = labels[0].name.lower()
         raise PipelineError(f"training split holds only {only} segments; both classes are required")
 
+    y = np.array([label.value for label in labels], dtype=np.float64)
     selected = {}
     for modality in MODALITIES:
         sets = _load_sets(train_manifest, out_dir, modality)
-        labelled = list(zip(sets, labels))
         data = codebook.sample_balanced(
-            labelled, config.sample_budget, derive_seed(config.seed, "sample", modality)
+            zip(sets, labels), config.sample_budget, derive_seed(config.seed, "sample", modality)
         )
         book = codebook.fit_gmm(
             data,
@@ -229,7 +224,6 @@ def run_train(
             modality=modality,
         )
         X = np.stack([codebook.encode(book, dset).values for dset in sets])
-        y = np.array([label.value for label in labels], dtype=np.float64)
         solves: list[dict] = []
         table = classifier.cv_accuracy_table(
             X,
@@ -262,7 +256,7 @@ def run_train(
         selected[modality] = best_c
 
     state = load_state(out_dir)
-    state["train"] = {"hash": train_hash(config), "seed": config.seed}
+    state["train"] = {"hash": train_hash(config), "labels": train_labels_hash(manifest), "seed": config.seed}
     _save_state(out_dir, state)
     return selected
 
@@ -350,7 +344,6 @@ def _write_report(reports_dir: Path, name: str, report: metrics.MetricReport, ti
 class EvaluateResult:
     reports: dict[str, metrics.MetricReport]
     theta: float | None
-    fusion_mode: str
 
 
 def run_evaluate(
@@ -367,11 +360,14 @@ def run_evaluate(
     With score-level fusion and no fixed weight, the weight is grid-searched
     on this split and the per-candidate trace is written next to the reports.
     Only a grid-searched weight is recorded for later ``predict`` runs; a fixed
-    one (argument or config) appears in the trace alone.
+    one (argument or config) appears in the trace alone. A manifest whose train
+    split differs from the one ``train`` fitted is refused unless forced.
     """
     out_dir = Path(out_dir)
     config = _with_fusion(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
+    if len(filter_split(manifest, "train")):
+        _check_stage(out_dir, "train", train_labels_hash(manifest), force, key="labels")
     truth_sentiment = np.array([segment.sentiment for segment in segments])
     truth = truth_sentiment > 0  # strictly positive is positive, as in corpus.binarize
     if truth.all() or not truth.any():
@@ -409,7 +405,7 @@ def run_evaluate(
     fused_labels, fused_sentiment, _ = _fuse_and_write(out_dir, split, segments, scores, mode, chosen_theta)
     reports["fused"] = metrics.compute_report(fused_labels, truth, fused_sentiment, truth_sentiment)
     _write_report(reports_dir, f"{split}_fused_{mode}", reports["fused"], f"fused ({mode}) / {split}")
-    return EvaluateResult(reports=reports, theta=chosen_theta, fusion_mode=mode)
+    return EvaluateResult(reports=reports, theta=chosen_theta)
 
 
 def run_predict(

@@ -88,17 +88,11 @@ def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def estimate_f0_shs(
-    block: np.ndarray,
-    sample_rate: int,
-    f0_min: float = 55.0,
-    f0_max: float = 400.0,
-    n_harmonics: int = 5,
-    compression: float = 0.85,
-    bins_per_octave: int = 48,
+    block: np.ndarray, sample_rate: int, config: ProsodyConfig = ProsodyConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the fundamental frequency of each block by subharmonic summation.
 
-    Each candidate f on a log-frequency grid is scored as
+    Each candidate f on ``config``'s log-frequency grid is scored as
     sum_h compression**(h-1) * |X(h*f)| over ``n_harmonics`` harmonics, with
     |X| linearly interpolated between FFT bins and held at the Nyquist bin
     beyond it; the winning candidate is refined by parabolic interpolation on
@@ -108,7 +102,7 @@ def estimate_f0_shs(
     (...). Salience is the winning score; an all-zero block gives salience 0
     and the caller should treat the frame as unvoiced.
     """
-    if not (f0_min < f0_max < sample_rate / 2):
+    if not (config.f0_min < config.f0_max < sample_rate / 2):
         raise ValueError("require f0_min < f0_max < sample_rate / 2")
     block = np.asarray(block, dtype=np.float64)
     nfft = 1 << max(11, int(4 * block.shape[-1] - 1).bit_length())
@@ -118,18 +112,18 @@ def estimate_f0_shs(
     # Interpolation weights in np.interp's arithmetic: the bin at or below each
     # target h*f, the distance past it and the bin spacing; past the last bin
     # the Nyquist value is held.
-    grid = _log_frequency_grid(f0_min, f0_max, bins_per_octave)
-    targets = np.arange(1, n_harmonics + 1)[:, None] * grid
+    grid = _log_frequency_grid(config.f0_min, config.f0_max, config.bins_per_octave)
+    targets = np.arange(1, config.n_harmonics + 1)[:, None] * grid
     beyond = targets >= freqs[-1]
     lower = np.minimum(np.searchsorted(freqs, targets, side="right") - 1, freqs.size - 2)
     offset = targets - freqs[lower]
     spacing = freqs[lower + 1] - freqs[lower]
 
     scores = np.zeros(block.shape[:-1] + grid.shape)
-    for h in range(n_harmonics):
+    for h in range(config.n_harmonics):
         left = spectrum[..., lower[h]]
         between = (spectrum[..., lower[h] + 1] - left) / spacing[h] * offset[h] + left
-        scores += compression**h * np.where(beyond[h], spectrum[..., -1:], between)
+        scores += config.compression**h * np.where(beyond[h], spectrum[..., -1:], between)
 
     best = np.argmax(scores, axis=-1)
     salience = _at(scores, best)
@@ -139,18 +133,14 @@ def estimate_f0_shs(
     denom = s0 - 2.0 * s1 + s2
     refine = (best == centre) & (denom < 0.0) & (salience > 0.0)
     delta = np.clip(0.5 * (s0 - s2) / np.where(refine, denom, -1.0), -0.5, 0.5)
-    f0 = np.where(refine, grid[best] * 2.0 ** (delta / bins_per_octave), grid[best])
-    return np.clip(f0, f0_min, f0_max), salience
+    f0 = np.where(refine, grid[best] * 2.0 ** (delta / config.bins_per_octave), grid[best])
+    return np.clip(f0, config.f0_min, config.f0_max), salience
 
 
 def voicing_probability(
-    block: np.ndarray,
-    salience: np.ndarray,
-    sample_rate: int,
-    f0_min: float = 55.0,
-    f0_max: float = 400.0,
+    block: np.ndarray, salience: np.ndarray, sample_rate: int, config: ProsodyConfig = ProsodyConfig()
 ) -> np.ndarray:
-    """Peak normalized autocorrelation over the pitch lag range, clamped to [0, 1].
+    """Peak normalized autocorrelation over the lags of ``config``'s pitch range, clamped to [0, 1].
 
     ``block`` is (..., block_len) and ``salience`` broadcasts against (...).
     Correlations are normalized by the energies of the two overlapping
@@ -159,8 +149,8 @@ def voicing_probability(
     """
     block = np.asarray(block, dtype=np.float64)
     n = block.shape[-1]
-    lag_min = max(1, int(sample_rate / f0_max))
-    lag_max = min(n - 1, int(np.ceil(sample_rate / f0_min)))
+    lag_min = max(1, int(sample_rate / config.f0_max))
+    lag_max = min(n - 1, int(np.ceil(sample_rate / config.f0_min)))
     if lag_max < lag_min:
         return np.zeros(block.shape[:-1])
 
@@ -192,14 +182,11 @@ def loudness(block: np.ndarray, exponent: float = 0.3) -> np.ndarray:
 def extract_audio_descriptors(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> np.ndarray:
     """Extract the (n_frames, 3) descriptor matrix fed to codebook encoding."""
     frames = frame_signal(signal, config.window, config.hop)
-    rate = signal.sample_rate
     rows = np.empty((frames.shape[0], 3))
     for start in range(0, frames.shape[0], FRAME_BLOCK):
         block = frames[start : start + FRAME_BLOCK]
-        f0, salience = estimate_f0_shs(
-            block, rate, config.f0_min, config.f0_max, config.n_harmonics, config.compression, config.bins_per_octave
-        )
-        voicing = voicing_probability(block, salience, rate, config.f0_min, config.f0_max)
+        f0, salience = estimate_f0_shs(block, signal.sample_rate, config)
+        voicing = voicing_probability(block, salience, signal.sample_rate, config)
         f0 = np.where(voicing < config.voicing_threshold, 0.0, f0)
         rows[start : start + FRAME_BLOCK] = np.column_stack([f0 / config.f0_max, voicing, loudness(block)])
     return rows

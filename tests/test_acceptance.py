@@ -33,7 +33,7 @@ from bofsent.metrics import (
 from bofsent.prosody import PcmSignal, ProsodyConfig, extract_audio_descriptors
 from bofsent.synth import SynthConfig, generate_corpus
 from bofsent.video import DetectorConfig, build_integral, detect
-from util import blob_volume, direct_posterior, subgradient_svm, tone
+from util import blob_volume, direct_posterior, subgradient_svm_batch, tone
 
 
 def _report(number: int, summary: str) -> None:
@@ -155,15 +155,17 @@ def test_criterion_4_encoding_matches_bayes_oracle():
 def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
     start = time.time()
     rng = np.random.default_rng(13)
-    for problem in range(10):
+    problems = []
+    for _ in range(10):
         n = int(rng.integers(8, 21))
         X = rng.normal(0.0, 1.5, (n, 2))
         y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
-        C = float(rng.choice([0.1, 0.5, 1.0, 5.0, 10.0]))
+        problems.append((X, y, float(rng.choice([0.1, 0.5, 1.0, 5.0, 10.0]))))
+    oracles = subgradient_svm_batch(*zip(*problems), iters=150_000)
+    for problem, ((X, y, C), (w_ref, b_ref)) in enumerate(zip(problems, oracles)):
         model = train_svm(X, y, C)
         ours = svm_objective(model.w, model.b, X, y, C)
-        w_ref, b_ref = subgradient_svm(X, y, C, iters=150_000)
         reference = svm_objective(w_ref, b_ref, X, y, C)
         assert abs(ours - reference) <= 1e-3 * abs(reference), f"problem {problem}"
 

@@ -7,6 +7,7 @@ from bofsent.corpus import Polarity
 from bofsent.fusion import classification_error
 from bofsent.metrics import (
     ConfusionMatrix,
+    MetricReport,
     binary_accuracies,
     compute_report,
     confusion,
@@ -162,29 +163,29 @@ class TestMulticlassAccuracy:
 
 class TestBinaryAccuracies:
     def test_perfect(self):
-        assert binary_accuracies(_labels(P, N), _labels(P, N)) == (1.0, 1.0)
+        assert binary_accuracies(confusion(_labels(P, N), _labels(P, N))) == (1.0, 1.0)
 
     def test_all_positive_imbalanced(self):
         pred = _labels(P, P, P, P)
         truth = _labels(P, P, P, N)
-        assert binary_accuracies(pred, truth) == (0.75, 0.5)
+        assert binary_accuracies(confusion(pred, truth)) == (0.75, 0.5)
 
     def test_published_counts_binary_accuracy(self):
         cm, _ = PUBLISHED_COUNTS["fusion2"]
         pred = _labels(*([P] * cm.tp + [N] * cm.fn + [P] * cm.fp + [N] * cm.tn))
         truth = _labels(*([P] * (cm.tp + cm.fn) + [N] * (cm.fp + cm.tn)))
-        plain, _ = binary_accuracies(pred, truth)
+        plain, _ = binary_accuracies(confusion(pred, truth))
         assert plain == pytest.approx((1031 + 168) / 1699, abs=1e-12)
 
     def test_weighted_invariant_to_duplication(self):
         rng = np.random.default_rng(3)
         pred = rng.random(40) > 0.3
         truth = rng.random(40) > 0.5
-        _, weighted = binary_accuracies(pred, truth)
+        _, weighted = binary_accuracies(confusion(pred, truth))
         # duplicate every negative-truth sample; per-class recalls are unchanged
         dup_pred = np.concatenate([pred, pred[~truth]])
         dup_truth = np.concatenate([truth, truth[~truth]])
-        _, weighted_dup = binary_accuracies(dup_pred, dup_truth)
+        _, weighted_dup = binary_accuracies(confusion(dup_pred, dup_truth))
         assert weighted_dup == pytest.approx(weighted, abs=1e-12)
 
 
@@ -201,6 +202,38 @@ class TestReport:
         assert "act_positive" in text and "pred_negative" in text
         payload = dataclasses.asdict(report)
         assert set(payload["confusion"]) == {"tp", "fp", "fn", "tn"}
+
+    def test_format_pinned(self):
+        report = MetricReport(
+            precision=0.75,
+            recall=0.6,
+            f1=2 / 3,
+            mae=1.25,
+            correlation=-0.5,
+            binary_accuracy=0.7,
+            weighted_binary_accuracy=0.65,
+            acc5=0.4,
+            acc7=0.3,
+            confusion=ConfusionMatrix(tp=3, fp=1, fn=2, tn=4),
+            degenerate=("correlation",),
+        )
+        assert format_report(report, title="pinned") == (
+            "# pinned\n"
+            "precision 0.750000\n"
+            "recall 0.600000\n"
+            "f1 0.666667\n"
+            "mae 1.250000\n"
+            "correlation -0.500000\n"
+            "binary_accuracy 0.700000\n"
+            "weighted_binary_accuracy 0.650000\n"
+            "acc5 0.400000\n"
+            "acc7 0.300000\n"
+            "degenerate correlation\n"
+            "# confusion matrix (rows = actual, columns = predicted)\n"
+            "                  pred_positive  pred_negative\n"
+            "    act_positive              3              2\n"
+            "    act_negative              1              4\n"
+        )
 
     def test_degenerate_correlation_flagged(self):
         report = compute_report(_labels(P, N), _labels(P, N), np.array([0.0, 0.0]), np.array([1.0, -1.0]))

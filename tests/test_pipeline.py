@@ -17,8 +17,9 @@ from bofsent.config import (
     extract_hash,
     load_config,
     train_hash,
+    train_labels_hash,
 )
-from bofsent.corpus import Manifest, Polarity, Segment, load_manifest, save_manifest
+from bofsent.corpus import Manifest, Polarity, Segment, filter_split, load_manifest, save_manifest
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
 from bofsent.fusion import score_level_fuse
 from bofsent.prosody import ProsodyConfig
@@ -78,9 +79,34 @@ class TestConfig:
         assert config.codebook_size == 32
         assert config.sample_budget == 1_000_000
 
+    @pytest.mark.parametrize("step", [0.15, 0.35, 0.06])
+    def test_theta_grid_stays_in_unit_interval(self, step):
+        candidates = fusion.theta_candidates(step)
+        assert {0.0, 0.5, 1.0} <= set(candidates)
+        assert all(0.0 <= theta <= 1.0 for theta in candidates)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"codebok_size": 8})
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"audio": 5}, "ProsodyConfig must be a JSON object, not int"),
+            ({"video": {"threshold": 1e-3, "scales": [1.0]}}, r"unknown DetectorConfig fields \['scales'\]"),
+            ([{"codebook_size": 8}], "PipelineConfig must be a JSON object, not list"),
+        ],
+        ids=["section-not-object", "unknown-nested-name", "top-level-list"],
+    )
+    def test_malformed_config_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(raw)
+
+    def test_config_file_not_an_object_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="c.json: config must be a JSON object"):
+            load_config(path)
 
     def test_hashes_track_relevant_sections(self):
         base = PipelineConfig()
@@ -401,6 +427,45 @@ class TestEvaluate:
         with pytest.raises(pipeline.PipelineError, match="empty"):
             pipeline.run_evaluate(corpus, "test", CONFIG, trained)
 
+    def test_grid_step_not_dividing_one(self, corpus, trained, tmp_path):
+        out_dir = tmp_path / "step"
+        shutil.copytree(trained, out_dir)
+        config = dataclasses.replace(CONFIG, theta_grid_step=0.15)
+        result = pipeline.run_evaluate(corpus, "validation", config, out_dir, fusion_mode="score")
+        trace = json.loads((out_dir / "reports" / "validation_theta_trace.json").read_text())
+        assert [row["theta"] for row in trace["trace"]] == list(fusion.theta_candidates(0.15))
+        assert 0.0 <= result.theta <= 1.0
+
+    def test_changed_train_labels_refused(self, corpus, trained):
+        assert pipeline.load_state(trained)["train"]["labels"] == train_labels_hash(corpus)
+        with pytest.raises(pipeline.StaleArtifactsError, match="labels"):
+            pipeline.run_evaluate(_first_train_label_flipped(corpus), "validation", CONFIG, trained)
+
+    def test_changed_train_labels_forced_only_warn(self, corpus, trained, tmp_path, caplog):
+        out_dir = tmp_path / "forced"
+        shutil.copytree(trained, out_dir)
+        expected = pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+            result = pipeline.run_evaluate(_first_train_label_flipped(corpus), "validation", CONFIG, out_dir, force=True)
+        assert result == expected
+        assert any("stale" in message and "labels" in message for message in caplog.messages)
+
+    def test_manifest_without_train_segments_not_checked(self, corpus, trained, tmp_path):
+        # Scoring new data: a manifest with no train segments has no labels to compare.
+        out_dir = tmp_path / "new-data"
+        shutil.copytree(trained, out_dir)
+        validation = filter_split(corpus, "validation")
+        assert set(pipeline.run_evaluate(validation, "validation", CONFIG, out_dir).reports) == {"audio", "video", "fused"}
+        lines = pipeline.run_predict(validation, CONFIG, out_dir).read_text().splitlines()
+        assert len(lines) == len(validation) + 1
+
+
+def _first_train_label_flipped(manifest: Manifest) -> Manifest:
+    index = next(i for i, segment in enumerate(manifest) if segment.split == "train")
+    segments = list(manifest.segments)
+    segments[index] = dataclasses.replace(segments[index], sentiment=-segments[index].sentiment)
+    return Manifest(segments=tuple(segments), base_dir=manifest.base_dir)
+
 
 class TestPredict:
     def test_unlabeled_manifest(self, corpus, trained, tmp_path):
@@ -471,6 +536,12 @@ class TestCli:
     def test_invalid_invocation_exit_code(self, tmp_path):
         assert cli.main(["evaluate", "--manifest", str(tmp_path / "nope.jsonl"),
                          "--out-dir", str(tmp_path)]) == 2
+
+    def test_malformed_config_section_exits_two(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"audio": 5}')
+        assert cli.main(["train", "--manifest", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path),
+                         "--config", str(config_path)]) == 2
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as info:

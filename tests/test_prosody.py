@@ -228,6 +228,27 @@ class TestBatchedFrontEnd:
         np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-12)
         assert rows.astype(np.float32).tobytes() == reference.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize(
+        "field, value, columns",
+        [
+            ("f0_min", 150.0, (0, 1)),  # the pitch range cuts through the glide: pitch and voicing move
+            ("f0_max", 150.0, (0, 1)),
+            ("n_harmonics", 4, (0,)),
+            ("compression", 0.7, (0,)),
+            ("bins_per_octave", 36, (0,)),
+        ],
+    )
+    def test_every_analysis_field_reaches_the_descriptors(self, field, value, columns):
+        # A 120-180 Hz glide with a second harmonic and noise, so no setting is moot.
+        rng = np.random.default_rng(5)
+        phase = 2.0 * np.pi * np.cumsum(120.0 + 200.0 * np.arange(SR * 3 // 10) / SR) / SR
+        samples = 0.5 * np.sin(phase) + 0.25 * np.sin(2.0 * phase) + 0.1 * rng.standard_normal(phase.size)
+        signal = PcmSignal(samples=samples, sample_rate=SR)
+        reference = extract_audio_descriptors(signal)
+        changed = extract_audio_descriptors(signal, ProsodyConfig(**{field: value}))
+        for column in columns:
+            assert not np.array_equal(changed[:, column], reference[:, column]), column
+
     def test_harmonics_past_nyquist_hold_the_last_bin(self):
         # At 8 kHz, candidates above 800 Hz put their fifth harmonic past 4 kHz.
         rate, settings_ = 8000, dict(f0_min=100.0, f0_max=1000.0, n_harmonics=5)
@@ -240,7 +261,7 @@ class TestBatchedFrontEnd:
                 rng.standard_normal(t.size),
             ]
         ) * np.hanning(t.size)
-        _, salience = estimate_f0_shs(stack, rate, **settings_)
+        _, salience = estimate_f0_shs(stack, rate, ProsodyConfig(**settings_))
         for row, value in zip(stack, salience):
             assert value == pytest.approx(interp_salience(row, rate, **settings_), abs=1e-9)
 

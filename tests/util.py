@@ -264,28 +264,37 @@ def hinge_objective(w, b, X, y, C) -> float:
 
 
 def subgradient_svm(X, y, C, iters: int = 150_000) -> tuple[np.ndarray, float]:
-    """Weighted-average projected subgradient descent on the hinge objective.
+    """``subgradient_svm_batch`` on one problem."""
+    ((w, b),) = subgradient_svm_batch([X], [y], [C], iters)
+    return w, b
+
+
+def subgradient_svm_batch(Xs, ys, Cs, iters: int = 150_000) -> list[tuple[np.ndarray, float]]:
+    """Weighted-average projected subgradient descent on the hinge objective of each (X, y, C) problem.
 
     Uses the 2/(t+2) step schedule with (t+1)-weighted averaging, valid for
     1-strongly-convex objectives; run long enough it lands within a fraction
-    of the oracle tolerance.
+    of the oracle tolerance. The problems, of one feature dimension, descend
+    together: each is padded to the most rows with zero rows labelled 0, which
+    add nothing to its subgradient.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, dim = X.shape
-    augmented = np.hstack([X, np.ones((n, 1))])
-    v = np.zeros(dim + 1)
-    averaged = np.zeros(dim + 1)
+    dim = np.shape(Xs[0])[1]
+    signed = np.zeros((len(Xs), max(len(y) for y in ys), dim + 1))
+    for problem, (X, y) in enumerate(zip(Xs, ys)):
+        y = np.asarray(y, dtype=np.float64)
+        signed[problem, : y.size] = np.hstack([np.asarray(X, dtype=np.float64), np.ones((y.size, 1))]) * y[:, None]
+    C = np.asarray(Cs, dtype=np.float64)[:, None]
+    v = np.zeros((len(Xs), dim + 1))
+    averaged = np.zeros_like(v)
     weight_sum = 0.0
     for t in range(iters):
-        margins = 1.0 - y * (augmented @ v)
-        active = margins > 0.0
-        grad = v - C * (augmented[active] * y[active, None]).sum(axis=0)
+        active = (1.0 - (signed @ v[:, :, None])[:, :, 0]) > 0.0
+        grad = v - C * (active[:, None, :] @ signed)[:, 0, :]
         v = v - (2.0 / (t + 2.0)) * grad
         weight = t + 1.0
         weight_sum += weight
         averaged += weight * (v - averaged) / weight_sum
-    return averaged[:dim], float(averaged[dim])
+    return [(row[:dim], float(row[dim])) for row in averaged]
 
 
 def dcd_reference(X, y, C, seed: int = 0, max_epochs: int = 1000, tol: float = 1e-6) -> tuple[np.ndarray, float]:

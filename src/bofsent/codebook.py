@@ -218,6 +218,20 @@ def _column_variance(data: np.ndarray) -> np.ndarray:
     return buf[0] / n
 
 
+# k-means++ seeding skips the rows a new center provably cannot move (Elkan, ICML
+# 2003; Raff, IJCAI 2021). Each row keeps the center that set its d2 (``owner``)
+# and a reach 2(1+δ)·√(d2 + dim·tiny). By the triangle inequality a row x lies
+# at least ‖c − owner‖ − ‖x − owner‖ from a new center c, so where
+# ‖c − owner‖ ≥ reach the exact distance is at least (1+2δ)·√d2. A computed
+# squared distance is within a factor 1 ± (dim+2)·2^-53 of the exact one, plus
+# at most dim·2^-1075 from squares that underflow; δ and the dim·tiny term
+# cover both many times over. The skipped row's computed distance to c is
+# therefore not below its d2, and the full pass would have kept d2 as it is.
+# The first center's pass computes every row (reach is infinite); after it,
+# every d2 is finite, or ``rng.choice`` rejects the NaN probabilities.
+_SEED_SLACK = 1e-6
+
+
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # Distances are exact sums of (x - c)²: duplicates of a center must read 0,
     # which the "distinct rows" check depends on.
@@ -225,17 +239,35 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, dim))
     centers[0] = data[rng.integers(n)]
     d2 = np.full(n, np.inf)
-    diff = np.empty((min(n, BLOCK), dim))
+    owner = np.zeros(n, dtype=np.intp)
+    reach = np.full(n, np.inf)
+    floor = dim * np.finfo(np.float64).tiny
+    rows = np.empty((min(n, BLOCK), dim))
+    computed = 0
     for i in range(1, k):
-        for start in range(0, n, BLOCK):
-            m = min(BLOCK, n - start)
-            np.subtract(data[start : start + m], centers[i - 1], out=diff[:m])
-            dist = np.einsum("ij,ij->i", diff[:m], diff[:m])
-            np.minimum(d2[start : start + m], dist, out=d2[start : start + m])
+        gap = centers[:i] - centers[i - 1]
+        sep = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        candidates = np.flatnonzero(sep[owner] < reach)
+        computed += len(candidates)
+        for start in range(0, len(candidates), BLOCK):
+            idx = candidates[start : start + BLOCK]
+            m = len(idx)
+            np.take(data, idx, axis=0, out=rows[:m], mode="clip")  # in range; "clip" skips a copy
+            np.subtract(rows[:m], centers[i - 1], out=rows[:m])
+            before = d2[idx]
+            after = np.minimum(before, np.einsum("ij,ij->i", rows[:m], rows[:m]))
+            d2[idx] = after
+            changed = after != before
+            moved = idx[changed]
+            owner[moved] = i - 1
+            reach[moved] = 2.0 * (1.0 + _SEED_SLACK) * np.sqrt(after[changed] + floor)
         total = d2.sum()
         if total <= 0.0:
             raise ValueError(f"fewer than {k} distinct rows; cannot place {k} components")
         centers[i] = data[rng.choice(n, p=d2 / total)]
+    logger.debug(
+        "k-means++ seeding (K=%d, n=%d): computed %d of %d row distances", k, n, computed, n * (k - 1)
+    )
     return centers
 
 
@@ -243,11 +275,14 @@ def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each row: argmin of |c|² - 2 x·c, block by block."""
     neg_twice = -2.0 * centers.T
     norms = (centers * centers).sum(axis=1)
-    assign = np.empty(data.shape[0], dtype=np.intp)
-    for start in range(0, data.shape[0], BLOCK):
-        d2 = data[start : start + BLOCK] @ neg_twice
-        d2 += norms
-        assign[start : start + BLOCK] = d2.argmin(axis=1)
+    n = data.shape[0]
+    assign = np.empty(n, dtype=np.intp)
+    scores = np.empty((min(n, BLOCK), centers.shape[0]))
+    for start in range(0, n, BLOCK):
+        block = scores[: min(BLOCK, n - start)]
+        np.matmul(data[start : start + BLOCK], neg_twice, out=block)
+        block += norms
+        block.argmin(axis=1, out=assign[start : start + BLOCK])
     return assign
 
 

@@ -105,7 +105,7 @@ def _parse_record(raw: dict, line_no: int) -> Segment:
         raise ManifestError(f"line {line_no}: unknown split {split!r} (expected one of {SPLITS})")
     sample_rate = raw.get("sample_rate")
     if sample_rate is not None:
-        if not isinstance(sample_rate, int) or sample_rate <= 0:
+        if isinstance(sample_rate, bool) or not isinstance(sample_rate, int) or sample_rate <= 0:
             raise ManifestError(f"line {line_no}: sample_rate must be a positive integer")
     return Segment(
         id=seg_id,

@@ -112,6 +112,8 @@ def run_extract(
     the run continues.
     """
     out_dir = Path(out_dir)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     for modality in modalities:
         if modality not in MODALITIES:
             raise ValueError(f"unknown modality {modality!r}")
@@ -139,7 +141,7 @@ def run_extract(
         return f"{modality}:{segment.id}", None
 
     # The pool starts no thread unless it is used, i.e. when workers > 1.
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for key, error in (pool.map if workers > 1 else map)(run_job, jobs):
             if error is None:
                 result.extracted.append(key)

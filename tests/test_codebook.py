@@ -10,6 +10,7 @@ from bofsent.codebook import (
     GmmCodebook,
     _assign,
     _column_variance,
+    _kmeans_plus_plus,
     encode,
     em_step,
     fit_gmm,
@@ -22,8 +23,10 @@ from bofsent.codebook import (
 from bofsent.corpus import Polarity
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
 from util import (
+    allocating_assign,
     direct_loglik,
     direct_posterior,
+    kmeans_plus_plus_reference,
     unblocked_em_step,
     unblocked_encode,
     unblocked_log_joint,
@@ -271,6 +274,11 @@ class TestBlocks:
         nearest = np.sort(d2, axis=1)
         assert (nearest[:, 1] - nearest[:, 0] > 1e-6).all(), "test data must have no near ties"
         assert np.array_equal(_assign(data, centers), d2.argmin(axis=1))
+        # the scores buffer reused across blocks gives the former per-block arrays' argmin
+        assert np.array_equal(_assign(data, centers), allocating_assign(data, centers))
+        wide = rng.normal(0.0, 2.0, (256, 64))
+        rows = rng.normal(0.0, 2.0, (n, 64))
+        assert np.array_equal(_assign(rows, wide), allocating_assign(rows, wide))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 64])
     @pytest.mark.parametrize("n", SIZES)
@@ -279,6 +287,65 @@ class TestBlocks:
         data = rng.normal(5.0, 1.0, (n, dim)) * rng.choice([1e-3, 1.0, 1e4], size=(n, dim))
         for layout in (data, np.asfortranarray(data)):
             assert np.array_equal(_column_variance(layout), layout.var(axis=0))
+
+
+def _seeding_rows(rng, kind, n, dim):
+    """``n`` rows of one of the shapes that stress the seeding's pruning and ties."""
+    if kind == "distinct":
+        return rng.normal(size=(n, dim))
+    if kind == "duplicated":
+        pool = rng.normal(size=(int(rng.integers(1, n + 1)), dim))
+        return pool[rng.integers(0, len(pool), n)]
+    if kind == "collinear":
+        return rng.normal(size=(n, 1)) * rng.normal(size=dim) + rng.normal(size=dim)
+    return rng.integers(-2, 3, (n, dim)).astype(np.float64)  # integer lattice
+
+
+def _seeding_count(caplog) -> tuple[int, int]:
+    """(computed, n·(K−1)) from the one seeding line logged."""
+    [line] = [rec.getMessage() for rec in caplog.records if "k-means++ seeding" in rec.getMessage()]
+    computed, full = line.split("computed ")[1].split(" row distances")[0].split(" of ")
+    return int(computed), int(full)
+
+
+class TestSeeding:
+    """The pruned k-means++ seeding against the former one-distance-per-row loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(TestBlocks.SIZES),
+        dim=st.sampled_from([1, 2, 3, 64]),
+        k=st.integers(1, 64),
+        kind=st.sampled_from(["distinct", "duplicated", "collinear", "lattice"]),
+        exponent=st.floats(-150.0, 100.0),
+    )
+    @example(seed=7, n=2 * BLOCK + 3, dim=64, k=256, kind="distinct", exponent=0.0)
+    def test_matches_reference_bitwise(self, seed, n, dim, k, kind, exponent):
+        k = min(k, n)
+        data = _seeding_rows(np.random.default_rng(seed), kind, n, dim) * 10.0**exponent
+        outcomes = []
+        for seeding in (_kmeans_plus_plus, kmeans_plus_plus_reference):
+            try:
+                outcomes.append(seeding(data, k, np.random.default_rng(seed)).tobytes())
+            except ValueError as exc:
+                outcomes.append(f"ValueError: {exc}")
+        assert outcomes[0] == outcomes[1]
+
+    def test_two_centers_compute_every_row(self, caplog):
+        data = np.random.default_rng(0).normal(size=(BLOCK + 1, 3))
+        with caplog.at_level(logging.DEBUG, logger="bofsent.codebook"):
+            _kmeans_plus_plus(data, 2, np.random.default_rng(1))
+        assert _seeding_count(caplog) == (BLOCK + 1, BLOCK + 1)
+
+    def test_separated_clusters_skip_rows(self, caplog):
+        rng = np.random.default_rng(2)
+        data = (100.0 * np.eye(8))[rng.integers(0, 8, 2000)] + rng.normal(size=(2000, 8))
+        with caplog.at_level(logging.DEBUG, logger="bofsent.codebook"):
+            _kmeans_plus_plus(data, 16, np.random.default_rng(3))
+        computed, full = _seeding_count(caplog)
+        assert full == 2000 * 15
+        assert computed < full // 2
 
 
 class TestLoglik:

@@ -116,6 +116,15 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=re.escape(f"line 2: sentiment {sentiment!r} is not a number")):
             load_manifest(path)
 
+    @pytest.mark.parametrize("sample_rate", [True, False, 0, -8000, 16000.0, "16000"])
+    def test_bad_sample_rate_names_line(self, tmp_path, sample_rate):
+        path = tmp_path / "m.jsonl"
+        record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
+        bad = {**record, "id": "b", "sample_rate": sample_rate}
+        path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ManifestError, match="line 2: sample_rate must be a positive integer"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("field", ["audio", "video"])
     @pytest.mark.parametrize("value", [None, "", 3, ["a.pcm"]])
     def test_media_path_not_a_string_names_line(self, tmp_path, field, value):

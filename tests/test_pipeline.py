@@ -207,6 +207,13 @@ class TestExtract:
         assert set(result.failures) == {"audio:ghost", "video:ghost"}
         assert len(result.extracted) == 4
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_any_job(self, corpus, tmp_path, workers):
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            pipeline.run_extract(corpus, CONFIG, out_dir, workers=workers)
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_interrupted_write_is_reextracted(self, corpus, tmp_path, monkeypatch):
         small = Manifest(segments=corpus.segments[:3], base_dir=corpus.base_dir)
         victim = small.segments[1].id
@@ -542,6 +549,16 @@ class TestCli:
         config_path.write_text('{"audio": 5}')
         assert cli.main(["train", "--manifest", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path),
                          "--config", str(config_path)]) == 2
+
+    def test_workers_below_one_exits_two(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        generate_corpus(corpus_dir, SynthConfig(n_train=2, n_validation=2, frames=8, height=20, width=20,
+                                                duration=0.3), seed=1)
+        out_dir = tmp_path / "o"
+        code = cli.main(["extract", "--manifest", str(corpus_dir / "manifest.jsonl"), "--out-dir", str(out_dir),
+                         "--workers", "0"])
+        assert code == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -7,6 +7,10 @@ solve. ``dcd_reference`` keeps the SVM's former solver, dual coordinate descent
 with a seeded permutation per epoch, as the reference its replacement must match.
 The ``unblocked_*`` functions keep the codebook's former all-rows-at-once
 formulas (two exps, exact column sums) as the reference for its blocked kernels.
+``kmeans_plus_plus_reference`` keeps the former seeding, which computed every
+row's distance to every new center, as the reference its pruned replacement
+must match bit for bit; ``allocating_assign`` does the same for the k-means
+assignment.
 The ``per_row_*`` functions keep the former one-segment-at-a-time fusion and
 metric formulas as the reference for the array versions in ``fusion`` and
 ``metrics``. ``box_sum``, ``hessian_response`` and ``per_point_describe`` keep
@@ -20,6 +24,7 @@ import math
 
 import numpy as np
 
+from bofsent.codebook import BLOCK
 from bofsent.metrics import ConfusionMatrix, MetricReport, mae, multiclass_accuracy, pearson, prf1
 from bofsent.prosody import PcmSignal
 from bofsent.video import FrameVolume, _det3_symmetric, _filter_bank, hessian_response_field
@@ -256,6 +261,40 @@ def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
     joint = unblocked_log_joint(weights, means, variances, np.asarray(rows, dtype=np.float64))
     post = np.exp(joint - unblocked_logsumexp_rows(joint)[:, None])
     return np.array([math.fsum(column) for column in post.T]) / post.shape[0]
+
+
+def kmeans_plus_plus_reference(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The former k-means++ seeding: one exact distance per row for every new center."""
+    # Distances are exact sums of (x - c)²: duplicates of a center must read 0,
+    # which the "distinct rows" check depends on.
+    n, dim = data.shape
+    centers = np.empty((k, dim))
+    centers[0] = data[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    diff = np.empty((min(n, BLOCK), dim))
+    for i in range(1, k):
+        for start in range(0, n, BLOCK):
+            m = min(BLOCK, n - start)
+            np.subtract(data[start : start + m], centers[i - 1], out=diff[:m])
+            dist = np.einsum("ij,ij->i", diff[:m], diff[:m])
+            np.minimum(d2[start : start + m], dist, out=d2[start : start + m])
+        total = d2.sum()
+        if total <= 0.0:
+            raise ValueError(f"fewer than {k} distinct rows; cannot place {k} components")
+        centers[i] = data[rng.choice(n, p=d2 / total)]
+    return centers
+
+
+def allocating_assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The former k-means assignment: a fresh (rows, K) score array per block."""
+    neg_twice = -2.0 * centers.T
+    norms = (centers * centers).sum(axis=1)
+    assign = np.empty(data.shape[0], dtype=np.intp)
+    for start in range(0, data.shape[0], BLOCK):
+        d2 = data[start : start + BLOCK] @ neg_twice
+        d2 += norms
+        assign[start : start + BLOCK] = d2.argmin(axis=1)
+    return assign
 
 
 def hinge_objective(w, b, X, y, C) -> float:

@@ -5,6 +5,14 @@ after a k-means++ seeded k-means warm start. Encoding a descriptor set means
 averaging component posteriors over its rows, producing one simplex vector
 per segment.
 
+A class with too few descriptors for its half of the budget is drawn with
+replacement; its draw is kept as the distinct rows drawn plus how often each
+was drawn. Seeding, the k-means warm start, EM and the log-likelihood take
+those draw counts as integer row weights, so fitting on ``(rows, counts)`` is
+fitting on ``np.repeat(rows, counts, axis=0)`` without building it. Each
+kernel multiplies by the counts before it sums, so unit counts give the same
+bits as an unweighted fit.
+
 EM, the log-likelihood, k-means assignment and encoding walk their rows in
 blocks of ``BLOCK`` rows. A block's log joint is one matrix product of
 ``[x², x]`` against a ``(2·dim, K)`` parameter matrix, and EM accumulates its
@@ -96,12 +104,17 @@ class MidLevelVector:
 
 def sample_balanced(
     sets: Iterable[tuple[DescriptorSet, Polarity]], budget: int, seed: int
-) -> np.ndarray:
-    """Draw budget/2 descriptors per polarity class, uniformly and seeded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw budget/2 descriptors per polarity class, uniformly and seeded; returns ``(rows, counts)``.
 
-    Sampling is without replacement whenever a class has enough rows;
-    otherwise it falls back to replacement with a logged warning. Raises when
-    a class contributes no descriptors at all.
+    A class with enough rows is sampled without replacement: its rows come in
+    draw order, each with count 1. A class with fewer falls back to sampling
+    with replacement, with a logged warning, and contributes the pool rows it
+    drew at least once, in pool order, each with its draw count; no
+    budget-sized copy of it is built. ``np.repeat(rows, counts, axis=0)`` is
+    the drawn sample and ``counts`` sums to ``budget``. Each class's rows
+    available, drawn and kept are logged at INFO. Raises when a class
+    contributes no descriptors at all.
     """
     if budget <= 0 or budget % 2 != 0:
         raise ValueError("budget must be a positive even number")
@@ -121,24 +134,38 @@ def sample_balanced(
 
     rng = np.random.default_rng(seed)
     need = budget // 2
-    # Filled BLOCK rows at a time: no float32 copy of a class's draw and no
-    # second float64 copy of the whole sample.
-    sample = np.empty((budget, dim))
-    for offset, label in ((0, Polarity.POSITIVE), (need, Polarity.NEGATIVE)):
-        pool = np.concatenate(pools[label], axis=0)
-        if len(pool) >= need:
-            idx = rng.choice(len(pool), size=need, replace=False)
+    picks = []
+    for label, arrays in pools.items():
+        available = sum(len(array) for array in arrays)
+        if available >= need:
+            idx = rng.choice(available, size=need, replace=False)
+            counts = np.ones(need, dtype=np.int64)
         else:
             logger.warning(
                 "class %s has %d descriptors for a budget of %d; sampling with replacement",
                 label.name.lower(),
-                len(pool),
+                available,
                 need,
             )
-            idx = rng.choice(len(pool), size=need, replace=True)
-        for start in range(0, need, BLOCK):
-            sample[offset + start : offset + min(start + BLOCK, need)] = pool[idx[start : start + BLOCK]]
-    return sample
+            drawn = np.bincount(rng.choice(available, size=need, replace=True), minlength=available)
+            idx = np.flatnonzero(drawn)
+            counts = drawn[idx]
+        logger.info(
+            "class %s: %d descriptors available, %d drawn, %d rows kept",
+            label.name.lower(), available, need, len(idx),
+        )
+        picks.append((idx, counts))
+
+    # Filled BLOCK rows at a time: no float32 copy of a class's draw and no
+    # second float64 copy of the whole sample.
+    rows = np.empty((sum(len(idx) for idx, _ in picks), dim))
+    offset = 0
+    for arrays, (idx, _) in zip(pools.values(), picks):
+        pool = np.concatenate(arrays, axis=0)
+        for start in range(0, len(idx), BLOCK):
+            rows[offset + start : offset + min(start + BLOCK, len(idx))] = pool[idx[start : start + BLOCK]]
+        offset += len(idx)
+    return rows, np.concatenate([counts for _, counts in picks])
 
 
 def _joint_terms(codebook: GmmCodebook) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +208,19 @@ def _block_posteriors(
     return feats, post, peak[:, 0] + np.log(total[:, 0])
 
 
-def loglik(codebook: GmmCodebook, data: np.ndarray) -> float:
-    """Total log-likelihood of the rows under the mixture (log-sum-exp, no underflow)."""
+def loglik(codebook: GmmCodebook, data: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Total log-likelihood of the rows under the mixture (log-sum-exp, no underflow).
+
+    Each row counts ``counts[i]`` times (once when ``counts`` is omitted), as
+    for a class that ``sample_balanced`` drew with replacement.
+    """
     data = _as_matrix(data, codebook.dim)
+    counts = _row_counts(counts, data.shape[0])
     terms = _joint_terms(codebook)
     norms = np.empty(data.shape[0])
     for start in range(0, data.shape[0], BLOCK):
         norms[start : start + BLOCK] = _block_posteriors(data[start : start + BLOCK], *terms)[2]
-    return float(norms.sum())
+    return float((norms * counts).sum())
 
 
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -200,22 +232,49 @@ def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _column_variance(data: np.ndarray) -> np.ndarray:
-    """``data.var(axis=0)``, bit for bit, without its sample-sized temporary.
+def _row_counts(counts: np.ndarray | None, n: int) -> np.ndarray:
+    """The ``(n,)`` integer draw counts of ``n`` rows, all ones when ``counts`` is None."""
+    if counts is None:
+        return np.ones(n, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.shape != (n,) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"counts must be {n} integers, one per row")
+    if n and counts.min() < 1:
+        raise ValueError("counts must be at least 1")
+    return counts
 
-    numpy sums a C-ordered matrix of two or more columns down axis 0 row after
-    row, so each block is summed below the running total; other shapes go to ``var``.
+
+def _column_variance(data: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Per-column variance of the rows, each repeated ``counts[i]`` times, without a sample-sized temporary.
+
+    With unit counts this is ``data.var(axis=0)`` bit for bit: rows are
+    weighted before they are summed, in the order ``var`` sums them. numpy sums
+    a C-ordered matrix of two or more columns down axis 0 row after row, so
+    each block is summed below the running total; other shapes take ``var``'s
+    whole-array route.
     """
     n, dim = data.shape
+    counts = _row_counts(counts, n)
+    total = counts.sum()
     if dim < 2 or not data.flags.c_contiguous:
-        return data.var(axis=0)
-    mean = np.add.reduce(data, axis=0) / n
+        weights = counts[:, None]
+        dev = data - np.add.reduce(data * weights, axis=0, keepdims=True) / total
+        np.multiply(dev, dev, out=dev)
+        dev *= weights
+        return np.add.reduce(dev, axis=0) / total
     buf = np.zeros((min(n, BLOCK) + 1, dim))  # row 0 holds the running total
     for start in range(0, n, BLOCK):
         rows = buf[1 : 1 + min(BLOCK, n - start)]
-        np.square(np.subtract(data[start : start + len(rows)], mean, out=rows), out=rows)
+        np.multiply(data[start : start + len(rows)], counts[start : start + len(rows), None], out=rows)
         buf[0] = np.add.reduce(buf[: 1 + len(rows)], axis=0)
-    return buf[0] / n
+    mean = buf[0] / total
+    buf[0] = 0.0
+    for start in range(0, n, BLOCK):
+        rows = buf[1 : 1 + min(BLOCK, n - start)]
+        np.square(np.subtract(data[start : start + len(rows)], mean, out=rows), out=rows)
+        rows *= counts[start : start + len(rows), None]
+        buf[0] = np.add.reduce(buf[: 1 + len(rows)], axis=0)
+    return buf[0] / total
 
 
 # k-means++ seeding skips the rows a new center provably cannot move (Elkan, ICML
@@ -232,13 +291,23 @@ def _column_variance(data: np.ndarray) -> np.ndarray:
 _SEED_SLACK = 1e-6
 
 
-def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    data: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """k-means++ centers of the rows, each repeated ``counts[i]`` times (default once).
+
+    The first center is draw number ``rng.integers(counts.sum())`` of the
+    repeated rows, and each later row is drawn with probability ∝ counts·d2:
+    with unit counts, the draws of the unweighted seeding.
+    """
     # Distances are exact sums of (x - c)²: duplicates of a center must read 0,
     # which the "distinct rows" check depends on.
     n, dim = data.shape
+    counts = _row_counts(counts, n)
     centers = np.empty((k, dim))
-    centers[0] = data[rng.integers(n)]
+    centers[0] = data[np.searchsorted(np.cumsum(counts), rng.integers(counts.sum()), side="right")]
     d2 = np.full(n, np.inf)
+    mass = np.full(n, np.inf)  # counts · d2: the unnormalised draw probabilities
     owner = np.zeros(n, dtype=np.intp)
     reach = np.full(n, np.inf)
     floor = dim * np.finfo(np.float64).tiny
@@ -261,10 +330,11 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
             moved = idx[changed]
             owner[moved] = i - 1
             reach[moved] = 2.0 * (1.0 + _SEED_SLACK) * np.sqrt(after[changed] + floor)
-        total = d2.sum()
+            mass[moved] = counts[moved] * after[changed]
+        total = mass.sum()
         if total <= 0.0:
             raise ValueError(f"fewer than {k} distinct rows; cannot place {k} components")
-        centers[i] = data[rng.choice(n, p=d2 / total)]
+        centers[i] = data[rng.choice(n, p=mass / total)]
     logger.debug(
         "k-means++ seeding (K=%d, n=%d): computed %d of %d row distances", k, n, computed, n * (k - 1)
     )
@@ -297,48 +367,52 @@ def initialize_codebook(
     seed,
     variance_floor: float,
     modality: str = "audio",
+    counts: np.ndarray | None = None,
 ) -> GmmCodebook:
     """Seeded k-means++ plus a short k-means refinement, turned into mixture parameters.
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts (int or sequence).
+    Row i counts ``counts[i]`` times (once when ``counts`` is omitted).
     """
     data = _as_matrix(data)
-    n = data.shape[0]
+    counts = _row_counts(counts, data.shape[0])
     rng = np.random.default_rng(seed)
-    centers = _kmeans_plus_plus(data, n_components, rng)
+    centers = _kmeans_plus_plus(data, n_components, rng, counts)
     for _ in range(_KMEANS_WARMUP_ITERS):
         assign = _assign(data, centers)
-        counts = np.bincount(assign, minlength=n_components)
-        sums = _cluster_sums(assign, data.T, n_components)
-        nonempty = counts > 0
-        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        sizes = np.bincount(assign, weights=counts, minlength=n_components)
+        sums = _cluster_sums(assign, (col * counts for col in data.T), n_components)
+        nonempty = sizes > 0
+        centers[nonempty] = sums[nonempty] / sizes[nonempty, None]
 
     assign = _assign(data, centers)
-    counts = np.bincount(assign, minlength=n_components)
-    sq_sums = _cluster_sums(assign, (col * col for col in data.T), n_components)
-    global_var = np.maximum(_column_variance(data), variance_floor)
+    sizes = np.bincount(assign, weights=counts, minlength=n_components)
+    sq_sums = _cluster_sums(assign, (col * col * counts for col in data.T), n_components)
+    global_var = np.maximum(_column_variance(data, counts), variance_floor)
     variances = np.tile(global_var, (n_components, 1))
-    nonempty = counts > 0
+    nonempty = sizes > 0
     variances[nonempty] = np.maximum(
-        sq_sums[nonempty] / counts[nonempty, None] - centers[nonempty] ** 2, variance_floor
+        sq_sums[nonempty] / sizes[nonempty, None] - centers[nonempty] ** 2, variance_floor
     )
-    weights = np.maximum(counts / n, _WEIGHT_FLOOR)
+    weights = np.maximum(sizes / counts.sum(), _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     return GmmCodebook(weights=weights, means=centers, variances=variances, modality=modality)
 
 
 def em_step(
-    codebook: GmmCodebook, data: np.ndarray, variance_floor: float
+    codebook: GmmCodebook, data: np.ndarray, variance_floor: float, counts: np.ndarray | None = None
 ) -> tuple[GmmCodebook, float]:
-    """One EM iteration.
+    """One EM iteration over the rows, row i counted ``counts[i]`` times (once by default).
 
     Returns the updated codebook and the log-likelihood of the data under the
     *incoming* parameters, so consecutive returned values are nondecreasing.
     The sufficient statistics N_k, Σγx and Σγx² are accumulated over blocks
-    of ``BLOCK`` rows.
+    of ``BLOCK`` rows, each row's posteriors scaled by its count first, so a
+    class drawn with replacement costs its distinct rows, not its draws.
     """
     data = _as_matrix(data, codebook.dim)
     n, dim = data.shape
+    counts = _row_counts(counts, n)
     terms = _joint_terms(codebook)
     nk = np.zeros(codebook.n_components)
     stats = np.zeros((codebook.n_components, 2 * dim))  # [Σγx², Σγx] per component
@@ -346,16 +420,17 @@ def em_step(
     for start in range(0, n, BLOCK):
         rows = data[start : start + BLOCK]
         feats, resp, norms[start : start + BLOCK] = _block_posteriors(rows, *terms)
+        resp *= counts[start : start + BLOCK, None]
         nk += resp.sum(axis=0)
         stats += resp.T @ feats
 
     safe = np.maximum(nk, _WEIGHT_FLOOR)[:, None]
     means = stats[:, dim:] / safe
     variances = np.maximum(stats[:, :dim] / safe - means * means, variance_floor)
-    weights = np.maximum(nk / n, _WEIGHT_FLOOR)
+    weights = np.maximum(nk / counts.sum(), _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     updated = GmmCodebook(weights=weights, means=means, variances=variances, modality=codebook.modality)
-    return updated, float(norms.sum())
+    return updated, float((norms * counts).sum())
 
 
 def fit_gmm(
@@ -367,44 +442,53 @@ def fit_gmm(
     variance_floor_scale: float = 1e-4,
     modality: str = "audio",
     n_init: int = 3,
+    counts: np.ndarray | None = None,
 ) -> GmmCodebook:
     """Fit a diagonal-covariance mixture by EM.
+
+    Row i of ``data`` counts ``counts[i]`` times (once when ``counts`` is
+    omitted): a class that ``sample_balanced`` drew with replacement is fitted
+    on its distinct rows, weighted by their draw counts. The "10 rows per
+    component" check reads the total count; the "fewer than K distinct rows"
+    check, the finiteness check and the zero-variance check read the rows.
 
     Runs ``n_init`` seeded restarts and keeps the one with the highest final
     log-likelihood, guarding against bad initializations. Each run stops after
     ``max_iters`` iterations or when the relative log-likelihood gain drops
-    below ``tol``; each restart and the kept one are logged at INFO. The
+    below ``tol``; each restart is logged at INFO, and so is the kept one,
+    unless it stopped on ``max_iters``, which is logged at WARNING. The
     variance floor is ``variance_floor_scale * mean(per-dimension data
     variance)``. Identical seeds and data give bit-identical codebooks.
     """
     data = _as_matrix(data)
+    counts = _row_counts(counts, data.shape[0])
     if n_components < 1:
         raise ValueError("n_components must be at least 1")
     if n_init < 1:
         raise ValueError("n_init must be at least 1")
-    if data.shape[0] < 10 * n_components:
-        raise ValueError(
-            f"need at least {10 * n_components} rows to fit {n_components} components, got {data.shape[0]}"
-        )
+    total = counts.sum()
+    if total < 10 * n_components:
+        raise ValueError(f"need at least {10 * n_components} rows to fit {n_components} components, got {total}")
     if not all(np.isfinite(data[start : start + BLOCK]).all() for start in range(0, data.shape[0], BLOCK)):
         raise ValueError("data must be finite")
-    variance_floor = variance_floor_scale * float(_column_variance(data).mean())
+    variance_floor = variance_floor_scale * float(_column_variance(data, counts).mean())
     if variance_floor <= 0.0:
         raise ValueError("degenerate data: zero variance in every dimension")
 
     best: GmmCodebook | None = None
     best_ll = -np.inf
     best_restart = 0
+    best_stop = "tol"
     for restart in range(n_init):
         codebook = initialize_codebook(
-            data, n_components, [seed, restart], variance_floor, modality
+            data, n_components, [seed, restart], variance_floor, modality, counts
         )
         previous = -np.inf
         ll = -np.inf
         stop = "max_iters"
         iters = 0
         for iters in range(1, max_iters + 1):
-            codebook, ll = em_step(codebook, data, variance_floor)
+            codebook, ll = em_step(codebook, data, variance_floor, counts)
             if np.isfinite(previous) and ll - previous < tol * abs(previous):
                 stop = "tol"
                 break
@@ -414,10 +498,15 @@ def fit_gmm(
             modality, n_components, restart + 1, n_init, iters, ll, stop,
         )
         if ll > best_ll:
-            best, best_ll, best_restart = codebook, ll, restart
-    logger.info(
-        "%s codebook: kept restart %d/%d (log-likelihood %.6f)", modality, best_restart + 1, n_init, best_ll
-    )
+            best, best_ll, best_restart, best_stop = codebook, ll, restart, stop
+    kept = "%s codebook: kept restart %d/%d (log-likelihood %.6f)"
+    if best_stop == "max_iters":
+        logger.warning(
+            kept + ", which stopped on max_iters=%d before its relative gain fell below tol=%g",
+            modality, best_restart + 1, n_init, best_ll, max_iters, tol,
+        )
+    else:
+        logger.info(kept, modality, best_restart + 1, n_init, best_ll)
     assert best is not None
     return best
 

@@ -213,17 +213,18 @@ def run_train(
     selected = {}
     for modality in MODALITIES:
         sets = _load_sets(train_manifest, out_dir, modality)
-        data = codebook.sample_balanced(
+        rows, counts = codebook.sample_balanced(
             zip(sets, labels), config.sample_budget, derive_seed(config.seed, "sample", modality)
         )
         book = codebook.fit_gmm(
-            data,
+            rows,
             config.codebook_size,
             derive_seed(config.seed, "gmm", modality),
             max_iters=config.gmm_max_iters,
             tol=config.gmm_tol,
             variance_floor_scale=config.variance_floor_scale,
             modality=modality,
+            counts=counts,
         )
         X = np.stack([codebook.encode(book, dset).values for dset in sets])
         solves: list[dict] = []

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -57,8 +58,9 @@ class TestSampleBalanced:
 
     def test_exact_split(self):
         rng = np.random.default_rng(0)
-        data = sample_balanced(self._sets(rng), budget=1000, seed=1)
-        assert data.shape == (1000, 2)
+        rows, counts = sample_balanced(self._sets(rng), budget=1000, seed=1)
+        assert rows.shape == (1000, 2)
+        assert counts.shape == (1000,) and (counts == 1).all()
 
     def test_reference_budget_splits_half_and_half(self):
         # the reference operating point: one million descriptors, half per class
@@ -67,25 +69,41 @@ class TestSampleBalanced:
             (_dset("p", rng.random((600_000, 2), dtype=np.float32) + 10.0), Polarity.POSITIVE),
             (_dset("n", rng.random((600_000, 2), dtype=np.float32) - 10.0), Polarity.NEGATIVE),
         ]
-        data = sample_balanced(sets, budget=1_000_000, seed=2)
-        assert data.shape == (1_000_000, 2)
-        assert (data[:500_000, 0] > 0).all(), "first half drawn from the positive pool"
-        assert (data[500_000:, 0] < 0).all(), "second half drawn from the negative pool"
+        rows, counts = sample_balanced(sets, budget=1_000_000, seed=2)
+        assert rows.shape == (1_000_000, 2)
+        assert counts.shape == (1_000_000,) and (counts == 1).all()
+        assert (rows[:500_000, 0] > 0).all(), "first half drawn from the positive pool"
+        assert (rows[500_000:, 0] < 0).all(), "second half drawn from the negative pool"
 
     def test_replacement_fallback_with_warning(self, caplog):
         rng = np.random.default_rng(0)
         sets = self._sets(rng, n_pos=600, n_neg=30)
         with caplog.at_level(logging.WARNING):
-            data = sample_balanced(sets, budget=100, seed=1)
-        assert data.shape == (100, 2)
-        assert any("replacement" in rec.message for rec in caplog.records)
+            rows, counts = sample_balanced(sets, budget=100, seed=1)
+        # 50 positive rows drawn once each, then the distinct negative rows drawn
+        distinct = len(rows) - 50
+        assert rows.shape == (50 + distinct, 2) and 0 < distinct <= 30
+        assert counts.shape == (len(rows),) and counts.sum() == 100
+        assert (counts[:50] == 1).all() and (counts[50:] >= 1).all()
+        assert len(np.unique(rows[50:], axis=0)) == distinct
+        assert any("sampling with replacement" in rec.message for rec in caplog.records)
+
+    def test_sampling_record_logged(self, caplog):
+        rng = np.random.default_rng(0)
+        with caplog.at_level(logging.INFO, logger="bofsent.codebook"):
+            rows, counts = sample_balanced(self._sets(rng, n_pos=600, n_neg=30), budget=100, seed=1)
+        records = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+        assert records == [
+            "class positive: 600 descriptors available, 50 drawn, 50 rows kept",
+            f"class negative: 30 descriptors available, 50 drawn, {len(rows) - 50} rows kept",
+        ]
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(0)
-        sets = self._sets(rng)
+        sets = self._sets(rng, n_neg=80)
         a = sample_balanced(sets, budget=200, seed=9)
         b = sample_balanced(sets, budget=200, seed=9)
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     @pytest.mark.parametrize("n_neg", [40, 3000])
     def test_matches_concatenated_draws(self, n_neg):
@@ -96,13 +114,18 @@ class TestSampleBalanced:
         sets = [(_dset("p", rows), Polarity.POSITIVE) for rows in pos] + [(_dset("n", neg), Polarity.NEGATIVE)]
         need = BLOCK + 5
         draw = np.random.default_rng(4)
-        parts = [
-            pool[draw.choice(len(pool), size=need, replace=len(pool) < need)] for pool in (np.concatenate(pos), neg)
-        ]
-        expected = np.concatenate(parts, dtype=np.float64)
-        data = sample_balanced(sets, budget=2 * need, seed=4)
-        assert data.dtype == np.float64
-        assert np.array_equal(data, expected)
+        pools = (np.concatenate(pos), neg)
+        draws = [(pool, draw.choice(len(pool), size=need, replace=len(pool) < need)) for pool in pools]
+        expected = np.concatenate([pool[idx] for pool, idx in draws], dtype=np.float64)
+        rows, counts = sample_balanced(sets, budget=2 * need, seed=4)
+        assert rows.dtype == np.float64
+        sample = np.repeat(rows, counts, axis=0)
+        # the same multiset as the reference draw ...
+        assert np.array_equal(sample[np.lexsort(sample.T)], expected[np.lexsort(expected.T)])
+        # ... in draw order for a class with enough rows, in pool order for one drawn with replacement
+        in_order = [pool[idx if len(pool) >= need else np.sort(idx)] for pool, idx in draws]
+        assert np.array_equal(sample, np.concatenate(in_order, dtype=np.float64))
+        assert len(rows) == need + (len(np.unique(draws[1][1])) if n_neg < need else need)
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(0)
@@ -152,6 +175,57 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="rows"):
             fit_gmm(np.zeros((19, 2)) + np.arange(19)[:, None], 2, seed=0)
 
+    @staticmethod
+    def _drawn(rng, distinct, total, dim=3):
+        """``distinct`` rows whose draw counts (each at least 1) sum to ``total``."""
+        rows = rng.normal(size=(distinct, dim))
+        return rows, 1 + np.bincount(rng.integers(distinct, size=total - distinct), minlength=distinct)
+
+    def test_row_check_reads_total_count(self):
+        # codebook256's video sample: 2,011 distinct rows drawn 16,000 times, K=256
+        rows, counts = self._drawn(np.random.default_rng(0), 2011, 16_000)
+        book = fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1, counts=counts)
+        assert book.n_components == 256
+        with pytest.raises(ValueError, match="need at least 2560 rows"):
+            fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1)
+
+    def test_distinct_rows_check_reads_rows(self):
+        rows, counts = self._drawn(np.random.default_rng(1), 200, 16_000)
+        with pytest.raises(ValueError, match="fewer than 256 distinct rows"):
+            fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1, counts=counts)
+
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [(np.ones(99, dtype=np.int64), "one per row"), (np.ones(100), "integers"), (np.arange(100), "at least 1")],
+        ids=["short", "float", "zero"],
+    )
+    def test_bad_counts_rejected(self, counts, message):
+        data = np.random.default_rng(2).normal(size=(100, 2))
+        with pytest.raises(ValueError, match=message):
+            fit_gmm(data, 2, seed=0, counts=counts)
+
+    # sha256 of the codebook file, recorded before sampling returned draw counts: a
+    # sample where no class falls back must keep the bytes of the unweighted fit.
+    # Recorded with OpenBLAS 0.3.31 (Haswell kernels); another BLAS may round the
+    # matrix products differently.
+    @pytest.mark.parametrize(
+        ("dim", "k", "digest"),
+        [
+            (3, 8, "e4b1a261433a7a82597947ea1a96ff38d3fa37489b89a09dcdc622b90faf678e"),
+            (64, 16, "f66fc1cccb8f1863cf9536da551d9bb9d68f385f9f1c11387bda39211ed79fbf"),
+        ],
+    )
+    def test_unit_counts_keep_their_digest(self, dim, k, digest, tmp_path):
+        rng = np.random.default_rng(dim)
+        sets = [
+            (_dset("p", rng.normal(0.0, 1.0, (1500, dim))), Polarity.POSITIVE),
+            (_dset("n", rng.normal(1.5, 2.0, (1200, dim))), Polarity.NEGATIVE),
+        ]
+        rows, counts = sample_balanced(sets, budget=2 * BLOCK + 6, seed=5)
+        assert (counts == 1).all()
+        write_codebook(tmp_path / "b.gmm", fit_gmm(rows, k, seed=3, max_iters=20, counts=counts))
+        assert hashlib.sha256((tmp_path / "b.gmm").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(("row", "value"), [(0, np.nan), (BLOCK - 1, np.inf), (2 * BLOCK + 2, np.nan)])
     def test_non_finite_row_rejected_in_any_block(self, row, value):
         # 2 * BLOCK + 3 rows: two full blocks and a partial one holding the last row.
@@ -186,15 +260,19 @@ class TestFitGmm:
             book = fit_gmm(data, 2, seed=1, max_iters=200, n_init=3)
             capped = fit_gmm(data, 2, seed=1, max_iters=1, n_init=2)
         assert isinstance(book, GmmCodebook) and isinstance(capped, GmmCodebook)
-        messages = [rec.getMessage() for rec in caplog.records]
-        restarts = [m for m in messages if "EM iterations" in m]
-        kept = [m for m in messages if "kept restart" in m]
+        records = [(rec.levelno, rec.getMessage()) for rec in caplog.records]
+        restarts = [m for level, m in records if "EM iterations" in m and level == logging.INFO]
+        kept = [(level, m) for level, m in records if "kept restart" in m]
         assert len(restarts) == 5 and len(kept) == 2
         assert all("stopped on tol" in m for m in restarts[:3])
         assert all("1 EM iterations" in m and "stopped on max_iters" in m for m in restarts[3:])
         final = [float(m.split("log-likelihood ")[1].split(",")[0]) for m in restarts[:3]]
         best = int(np.argmax(final))
-        assert f"kept restart {best + 1}/3 (log-likelihood {final[best]:.6f})" in kept[0]
+        assert kept[0][0] == logging.INFO
+        assert kept[0][1] == f"audio codebook: kept restart {best + 1}/3 (log-likelihood {final[best]:.6f})"
+        # a kept restart that stopped on the cap says so at WARNING
+        assert kept[1][0] == logging.WARNING
+        assert "stopped on max_iters=1 before its relative gain fell below tol=1e-05" in kept[1][1]
 
     def test_monotone_loglik_fuzz(self):
         rng = np.random.default_rng(4)
@@ -346,6 +424,83 @@ class TestSeeding:
         computed, full = _seeding_count(caplog)
         assert full == 2000 * 15
         assert computed < full // 2
+
+
+# Weighted sums round differently from sums over the repeated rows; variances
+# lose a few more digits to the x² − mean² cancellation.
+WEIGHTED_RTOL = 1e-9
+
+
+def _weighted_case(seed, n, dim, max_count):
+    """(rng, rows, integer draw counts in [1, max_count], the rows repeated by their counts)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 2.0, (n, dim))
+    counts = rng.integers(1, max_count + 1, n)
+    return rng, rows, counts, np.repeat(rows, counts, axis=0)
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=WEIGHTED_RTOL, atol=WEIGHTED_RTOL)
+
+
+def _same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestWeighted:
+    """Kernels on (rows, draw counts) against the unweighted kernels on the repeated rows."""
+
+    CASES = dict(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 7, BLOCK - 1, BLOCK + 1]),
+        dim=st.sampled_from([1, 2, 3, 64]),
+        max_count=st.integers(1, 9),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CASES)
+    def test_em_step_loglik_variance_match_repeated_rows(self, seed, n, dim, max_count):
+        rng, rows, counts, repeated = _weighted_case(seed, n, dim, max_count)
+        book = _random_codebook(rng, k=5, dim=dim)
+        updated, ll = em_step(book, rows, 1e-3, counts)
+        expected, expected_ll = em_step(book, repeated, 1e-3)
+        for name in ("weights", "means", "variances"):
+            _close(getattr(updated, name), getattr(expected, name))
+        expected_ll = pytest.approx(expected_ll, rel=WEIGHTED_RTOL, abs=WEIGHTED_RTOL * len(repeated))
+        assert ll == expected_ll
+        assert loglik(book, rows, counts) == expected_ll
+        _close(_column_variance(rows, counts), repeated.var(axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 8), **CASES)
+    def test_initial_codebook_matches_repeated_rows(self, seed, n, dim, max_count, k):
+        # The draws line up: the first center is draw u of the repeated rows either
+        # way, and p ∝ counts·d2 has the repeated rows' cumulative sum at each
+        # group's end, so one uniform picks the same row in both.
+        rng, rows, counts, repeated = _weighted_case(seed, n, dim, max_count)
+        k = min(k, n)
+        weighted = initialize_codebook(rows, k, seed, 1e-3, counts=counts)
+        expected = initialize_codebook(repeated, k, seed, 1e-3)
+        for name in ("weights", "means", "variances"):
+            _close(getattr(weighted, name), getattr(expected, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 8), dtype=st.sampled_from([np.int64, np.int32, np.uint8]), **CASES)
+    def test_unit_counts_are_the_unweighted_call(self, seed, n, dim, max_count, k, dtype):
+        rng, rows, _, _ = _weighted_case(seed, n, dim, max_count)
+        ones = np.ones(n, dtype=dtype)
+        book = _random_codebook(rng, k=5, dim=dim)
+        (stepped, ll), (expected, expected_ll) = em_step(book, rows, 1e-3, ones), em_step(book, rows, 1e-3)
+        assert ll == expected_ll
+        assert loglik(book, rows, ones) == loglik(book, rows)
+        _same_bits(_column_variance(rows, ones), rows.var(axis=0))
+        k = min(k, n)
+        seeded = _kmeans_plus_plus(rows, k, np.random.default_rng(seed), ones)
+        _same_bits(seeded, kmeans_plus_plus_reference(rows, k, np.random.default_rng(seed)))
+        initial = initialize_codebook(rows, k, seed, 1e-3, counts=ones), initialize_codebook(rows, k, seed, 1e-3)
+        for weighted, unweighted in ((stepped, expected), initial):
+            for name in ("weights", "means", "variances"):
+                _same_bits(getattr(weighted, name), getattr(unweighted, name))
 
 
 class TestLoglik:

@@ -9,9 +9,9 @@ A class with too few descriptors for its half of the budget is drawn with
 replacement; its draw is kept as the distinct rows drawn plus how often each
 was drawn. Seeding, the k-means warm start, EM and the log-likelihood take
 those draw counts as integer row weights, so fitting on ``(rows, counts)`` is
-fitting on ``np.repeat(rows, counts, axis=0)`` without building it. Each
-kernel multiplies by the counts before it sums, so unit counts give the same
-bits as an unweighted fit.
+fitting on ``np.repeat(rows, counts, axis=0)`` without building it, and unit
+counts give the bits of an unweighted fit. EM, the log-likelihood and encoding
+share one weighting rule: ``_block_posteriors`` scales each row by its count.
 
 EM, the log-likelihood, k-means assignment and encoding walk their rows in
 blocks of ``BLOCK`` rows. A block's log joint is one matrix product of
@@ -184,14 +184,15 @@ def _joint_terms(codebook: GmmCodebook) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_posteriors(
-    rows: np.ndarray, matrix: np.ndarray, const: np.ndarray
+    rows: np.ndarray, matrix: np.ndarray, const: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features ``[x², x]``, component posteriors and per-row log normalisers of one row block.
+    """Features ``[x², x]``, posteriors and log normalisers of one row block, each row's scaled by its count.
 
     The log joint is one matrix product; the posteriors are computed in place
     over it with a single ``exp``, floored at ``exp(_LOG_FLOOR)`` times the
-    row's largest. A row's log normaliser is the log-sum-exp of its joint,
-    i.e. the row's log-likelihood.
+    row's largest, and divided by ``total / counts[i]``, so row i's sum to its
+    count. Its log normaliser is its log-likelihood (the log-sum-exp of its
+    joint) times its count. A count of 1 keeps the unweighted bits.
     """
     dim = rows.shape[1]
     feats = np.empty((rows.shape[0], 2 * dim))
@@ -204,8 +205,8 @@ def _block_posteriors(
     np.maximum(post, _LOG_FLOOR, out=post)
     np.exp(post, out=post)
     total = post.sum(axis=1, keepdims=True)
-    post /= total
-    return feats, post, peak[:, 0] + np.log(total[:, 0])
+    post /= total / counts[:, None]
+    return feats, post, counts * (peak[:, 0] + np.log(total[:, 0]))
 
 
 def loglik(codebook: GmmCodebook, data: np.ndarray, counts: np.ndarray | None = None) -> float:
@@ -219,8 +220,9 @@ def loglik(codebook: GmmCodebook, data: np.ndarray, counts: np.ndarray | None = 
     terms = _joint_terms(codebook)
     norms = np.empty(data.shape[0])
     for start in range(0, data.shape[0], BLOCK):
-        norms[start : start + BLOCK] = _block_posteriors(data[start : start + BLOCK], *terms)[2]
-    return float((norms * counts).sum())
+        block = slice(start, start + BLOCK)
+        norms[block] = _block_posteriors(data[block], *terms, counts[block])[2]
+    return float(norms.sum())
 
 
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -388,12 +390,13 @@ def initialize_codebook(
     assign = _assign(data, centers)
     sizes = np.bincount(assign, weights=counts, minlength=n_components)
     sq_sums = _cluster_sums(assign, (col * col * counts for col in data.T), n_components)
-    global_var = np.maximum(_column_variance(data, counts), variance_floor)
-    variances = np.tile(global_var, (n_components, 1))
     nonempty = sizes > 0
+    variances = np.empty_like(centers)
     variances[nonempty] = np.maximum(
         sq_sums[nonempty] / sizes[nonempty, None] - centers[nonempty] ** 2, variance_floor
     )
+    if not nonempty.all():  # an empty cluster takes the whole sample's variance
+        variances[~nonempty] = np.maximum(_column_variance(data, counts), variance_floor)
     weights = np.maximum(sizes / counts.sum(), _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     return GmmCodebook(weights=weights, means=centers, variances=variances, modality=modality)
@@ -407,8 +410,8 @@ def em_step(
     Returns the updated codebook and the log-likelihood of the data under the
     *incoming* parameters, so consecutive returned values are nondecreasing.
     The sufficient statistics N_k, Σγx and Σγx² are accumulated over blocks
-    of ``BLOCK`` rows, each row's posteriors scaled by its count first, so a
-    class drawn with replacement costs its distinct rows, not its draws.
+    of ``BLOCK`` rows from the count-scaled posteriors of ``_block_posteriors``,
+    so a class drawn with replacement costs its distinct rows, not its draws.
     """
     data = _as_matrix(data, codebook.dim)
     n, dim = data.shape
@@ -418,9 +421,8 @@ def em_step(
     stats = np.zeros((codebook.n_components, 2 * dim))  # [Σγx², Σγx] per component
     norms = np.empty(n)
     for start in range(0, n, BLOCK):
-        rows = data[start : start + BLOCK]
-        feats, resp, norms[start : start + BLOCK] = _block_posteriors(rows, *terms)
-        resp *= counts[start : start + BLOCK, None]
+        block = slice(start, start + BLOCK)
+        feats, resp, norms[block] = _block_posteriors(data[block], *terms, counts[block])
         nk += resp.sum(axis=0)
         stats += resp.T @ feats
 
@@ -430,7 +432,7 @@ def em_step(
     weights = np.maximum(nk / counts.sum(), _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     updated = GmmCodebook(weights=weights, means=means, variances=variances, modality=codebook.modality)
-    return updated, float((norms * counts).sum())
+    return updated, float(norms.sum())
 
 
 def fit_gmm(
@@ -462,10 +464,9 @@ def fit_gmm(
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
-    if n_components < 1:
-        raise ValueError("n_components must be at least 1")
-    if n_init < 1:
-        raise ValueError("n_init must be at least 1")
+    for name, value in (("n_components", n_components), ("n_init", n_init), ("max_iters", max_iters)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     total = counts.sum()
     if total < 10 * n_components:
         raise ValueError(f"need at least {10 * n_components} rows to fit {n_components} components, got {total}")
@@ -484,9 +485,7 @@ def fit_gmm(
             data, n_components, [seed, restart], variance_floor, modality, counts
         )
         previous = -np.inf
-        ll = -np.inf
         stop = "max_iters"
-        iters = 0
         for iters in range(1, max_iters + 1):
             codebook, ll = em_step(codebook, data, variance_floor, counts)
             if np.isfinite(previous) and ll - previous < tol * abs(previous):
@@ -515,11 +514,11 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     """Average the per-descriptor component posteriors into one simplex vector.
 
     The distinct descriptor rows are put in sorted order (``np.unique``) and
-    their posteriors, computed ``BLOCK`` rows at a time, are summed weighted
-    by each row's count. The result is therefore bit-for-bit independent of
-    descriptor order, even though a matrix product may round a row
-    differently depending on where in the block it sits. Empty sets encode to
-    the all-zero vector and are flagged through ``n_descriptors``.
+    their posteriors, computed ``BLOCK`` rows at a time and scaled by each
+    row's count as in EM, are summed. The result is therefore bit-for-bit
+    independent of descriptor order, even though a matrix product may round a
+    row differently depending on where in the block it sits. Empty sets encode
+    to the all-zero vector and are flagged through ``n_descriptors``.
     """
     if dset.dim != codebook.dim:
         raise ValueError(f"dimension mismatch: descriptors {dset.dim}, codebook {codebook.dim}")
@@ -530,8 +529,8 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     rows, counts = np.unique(dset.descriptors, axis=0, return_counts=True)
     terms = _joint_terms(codebook)
     for start in range(0, rows.shape[0], BLOCK):
-        post = _block_posteriors(rows[start : start + BLOCK], *terms)[1]
-        pooled += counts[start : start + BLOCK].astype(np.float64) @ post
+        block = slice(start, start + BLOCK)
+        pooled += _block_posteriors(rows[block], *terms, counts[block])[1].sum(axis=0)
     return MidLevelVector(values=pooled / n, segment_id=dset.segment_id, n_descriptors=n)
 
 

@@ -45,6 +45,12 @@ class PipelineConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if self.gmm_max_iters < 1:
+            raise ValueError(f"gmm_max_iters {self.gmm_max_iters} must be at least 1")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds {self.cv_folds} must be at least 2")
+        if self.c_exponent_min > self.c_exponent_max:
+            raise ValueError(f"c_exponent_min {self.c_exponent_min} exceeds c_exponent_max {self.c_exponent_max}")
         if self.fusion_mode not in fusion.MODES:
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r} (expected one of {fusion.MODES})")
         if self.theta is not None:

@@ -1,14 +1,14 @@
 """Stage runner: extraction, training, evaluation and prediction over a corpus.
 
 Stages hand data to each other through files under one output directory and
-record the configuration hash that produced each stage, refusing to consume
-artifacts built under a different configuration unless forced. Given the same
-inputs, configuration and seed, every stage writes byte-identical artifacts
-regardless of worker count.
+record the configuration hash that produced each stage (each modality, for
+extraction) in ``artifacts.json``, refusing to consume artifacts built under a
+different configuration unless forced. Given the same inputs, configuration
+and seed, every stage writes byte-identical artifacts regardless of worker
+count.
 """
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -60,12 +60,6 @@ def load_state(out_dir: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _save_state(out_dir: Path, state: dict) -> None:
-    state = dict(state)
-    state["updated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    _write_json(out_dir / "artifacts.json", state)
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -107,9 +101,10 @@ def run_extract(
 ) -> ExtractResult:
     """Extract descriptors for every manifest segment, one file per (segment, modality).
 
-    Outputs that already exist under the current extraction configuration are
-    skipped; per-segment failures are logged and collected while the rest of
-    the run continues.
+    Each modality records the extraction hash it last ran under, and only
+    outputs that already exist under the current hash of their own modality
+    are skipped; per-segment failures are logged and collected while the rest
+    of the run continues.
     """
     out_dir = Path(out_dir)
     if workers < 1:
@@ -119,11 +114,12 @@ def run_extract(
             raise ValueError(f"unknown modality {modality!r}")
     state = load_state(out_dir)
     current_hash = extract_hash(config)
-    fresh = state.get("extract", {}).get("hash") == current_hash
+    records = {m: record for m, record in state.get("extract", {}).items() if m in MODALITIES}
 
     jobs = []
     result = ExtractResult()
     for modality in modalities:
+        fresh = records.get(modality, {}).get("hash") == current_hash
         for segment in manifest:
             dst = descriptor_path(out_dir, modality, segment.id)
             if fresh and not force and dst.exists():
@@ -148,8 +144,8 @@ def run_extract(
             else:
                 result.failures[key] = error
 
-    state["extract"] = {"hash": current_hash, "seed": config.seed}
-    _save_state(out_dir, state)
+    state["extract"] = {**records, **{m: {"hash": current_hash, "seed": config.seed} for m in modalities}}
+    _write_json(out_dir / "artifacts.json", state)
     result.extracted.sort()
     return result
 
@@ -159,15 +155,21 @@ def run_extract(
 
 
 def _check_stage(out_dir: Path, stage: str, current: str, force: bool, key: str = "hash") -> None:
-    """Raise unless ``stage``'s record holds ``current`` under ``key``, if it holds ``key``; a forced mismatch only warns."""
-    record = load_state(out_dir).get(stage)
+    """Raise unless ``stage``'s record holds ``current`` under ``key``, if it holds ``key``; a forced mismatch only warns.
+
+    ``stage`` is ``train``, or ``extract/<modality>`` for one modality's extraction record.
+    """
+    command, _, modality = stage.partition("/")
+    record = load_state(out_dir).get(command)
+    if modality and record is not None:
+        record = record.get(modality)
     if record is None:
-        raise PipelineError(f"{out_dir}: no {stage} artifacts recorded; run {stage} first")
+        raise PipelineError(f"{out_dir}: no {stage} artifacts recorded; run {command} first")
     recorded = record.get(key, current)
     if recorded != current:
         problem = f"{stage} artifacts are stale: recorded {key} {recorded}, current {current}"
         if not force:
-            raise StaleArtifactsError(f"{problem}; re-run {stage} or pass force")
+            raise StaleArtifactsError(f"{problem}; re-run {command} or pass force")
         logger.warning("%s (forced)", problem)
 
 
@@ -200,7 +202,8 @@ def run_train(
 ) -> dict[str, float]:
     """Fit a codebook and an SVM per modality from the training split; returns the selected C per modality."""
     out_dir = Path(out_dir)
-    _check_stage(out_dir, "extract", extract_hash(config), force)
+    for modality in MODALITIES:
+        _check_stage(out_dir, f"extract/{modality}", extract_hash(config), force)
     train_manifest = filter_split(manifest, "train")
     if len(train_manifest) == 0:
         raise PipelineError("training split is empty")
@@ -260,7 +263,7 @@ def run_train(
 
     state = load_state(out_dir)
     state["train"] = {"hash": train_hash(config), "labels": train_labels_hash(manifest), "seed": config.seed}
-    _save_state(out_dir, state)
+    _write_json(out_dir / "artifacts.json", state)
     return selected
 
 
@@ -286,7 +289,8 @@ def _score_segments(
     manifest: Manifest, split: str | None, config: PipelineConfig, out_dir: Path, force: bool
 ) -> tuple[Manifest, Scores]:
     """Check the stage states, pick the segments of ``split`` (all when None) and score them."""
-    _check_stage(out_dir, "extract", extract_hash(config), force)
+    for modality in MODALITIES:
+        _check_stage(out_dir, f"extract/{modality}", extract_hash(config), force)
     _check_stage(out_dir, "train", train_hash(config), force)
     segments = filter_split(manifest, split) if split else manifest
     if len(segments) == 0:
@@ -399,7 +403,7 @@ def run_evaluate(
             source = "grid-search"
             state = load_state(out_dir)
             state["fusion"] = {"theta": chosen_theta, "split": split}
-            _save_state(out_dir, state)
+            _write_json(out_dir / "artifacts.json", state)
         _write_json(
             reports_dir / f"{split}_theta_trace.json",
             {"selected": chosen_theta, "source": source, "trace": trace},

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; tolerances are pinned here and not meant to be relaxed.
 """
-import json
 import time
 
 import numpy as np
@@ -279,18 +278,10 @@ def test_criterion_8_synthetic_end_to_end(full_scale_run):
 
 
 def _artifact_payloads(out_dir):
-    payloads = {}
-    for path in sorted(out_dir.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(out_dir).as_posix()
-        if rel == "artifacts.json":
-            state = json.loads(path.read_text())
-            state.pop("updated_at", None)  # the run manifest's timestamp is excluded
-            payloads[rel] = json.dumps(state, sort_keys=True)
-        else:
-            payloads[rel] = path.read_bytes()
-    return payloads
+    """Every file of a run directory, byte for byte, artifacts.json included."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes() for path in sorted(out_dir.rglob("*")) if path.is_file()
+    }
 
 
 @pytest.mark.slow

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bofsent import codebook
 from bofsent.codebook import (
+    _KMEANS_WARMUP_ITERS,
     BLOCK,
     GmmCodebook,
     _assign,
+    _block_posteriors,
     _column_variance,
+    _joint_terms,
     _kmeans_plus_plus,
     encode,
     em_step,
@@ -32,6 +36,7 @@ from util import (
     unblocked_encode,
     unblocked_log_joint,
     unblocked_logsumexp_rows,
+    unscaled_block_posteriors,
 )
 
 
@@ -170,6 +175,11 @@ class TestFitGmm:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
+
+    def test_zero_iterations_rejected(self):
+        data = np.random.default_rng(3).normal(size=(100, 2))
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            fit_gmm(data, 2, seed=0, max_iters=0)
 
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError, match="rows"):
@@ -366,6 +376,29 @@ class TestBlocks:
         for layout in (data, np.asfortranarray(data)):
             assert np.array_equal(_column_variance(layout), layout.var(axis=0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(SIZES),
+        dim=st.sampled_from([1, 3, 64]),
+        max_count=st.integers(1, 9),
+    )
+    def test_block_posteriors_scale_each_row_by_its_count(self, seed, n, dim, max_count):
+        rng = np.random.default_rng(seed)
+        book = _random_codebook(rng, k=5, dim=dim)
+        rows = _mixture_rows(rng, book, n)
+        terms = _joint_terms(book)
+        counts = rng.integers(1, max_count + 1, n)
+        _, post, norms = _block_posteriors(rows, *terms, counts)
+        assert np.abs(post.sum(axis=1) - counts).max() <= 1e-12
+        feats, unscaled, unscaled_norms = unscaled_block_posteriors(rows, *terms)
+        np.testing.assert_allclose(post, unscaled * counts[:, None], rtol=1e-15, atol=0)
+        _same_bits(norms, counts * unscaled_norms)
+        # a count of 1 keeps the bits of the unscaled block
+        unit = _block_posteriors(rows, *terms, np.ones(n, dtype=np.int64))
+        for got, expected in zip(unit, (feats, unscaled, unscaled_norms)):
+            _same_bits(got, expected)
+
 
 def _seeding_rows(rng, kind, n, dim):
     """``n`` rows of one of the shapes that stress the seeding's pruning and ties."""
@@ -501,6 +534,40 @@ class TestWeighted:
         for weighted, unweighted in ((stepped, expected), initial):
             for name in ("weights", "means", "variances"):
                 _same_bits(getattr(weighted, name), getattr(unweighted, name))
+
+
+def test_empty_cluster_takes_floored_column_variance(monkeypatch):
+    # The sample's column variance is computed only for a cluster that ends the
+    # warm-up empty, and becomes that cluster's variance row, floored.
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(300, 3)) * [1e-3, 1.0, 2.0]
+    counts = rng.integers(1, 4, 300)
+    floor = 1e-4
+    variance_calls = []
+    assign_calls = []
+
+    def counted_variance(*args):
+        variance_calls.append(args)
+        return _column_variance(*args)
+
+    def last_call_empties_cluster(rows, centers):
+        assign = _assign(rows, centers)
+        assign_calls.append((assign == 3).sum())
+        if len(assign_calls) == _KMEANS_WARMUP_ITERS + 1:
+            assign[assign == 3] = 0
+        return assign
+
+    monkeypatch.setattr(codebook, "_column_variance", counted_variance)
+    initialize_codebook(data, 4, 0, floor, counts=counts)
+    assert variance_calls == []
+    monkeypatch.setattr(codebook, "_assign", last_call_empties_cluster)
+    book = initialize_codebook(data, 4, 0, floor, counts=counts)
+    assert len(assign_calls) == _KMEANS_WARMUP_ITERS + 1 and assign_calls[-1] > 0
+    assert len(variance_calls) == 1
+    expected = np.maximum(_column_variance(data, counts), floor)
+    assert expected[0] == floor and (expected[1:] > floor).all()
+    _same_bits(book.variances[3], expected)
+    assert book.weights[3] < 1e-11
 
 
 class TestLoglik:

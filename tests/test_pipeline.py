@@ -85,6 +85,20 @@ class TestConfig:
         assert {0.0, 0.5, 1.0} <= set(candidates)
         assert all(0.0 <= theta <= 1.0 for theta in candidates)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gmm_max_iters": 0}, "gmm_max_iters 0 must be at least 1"),
+            ({"cv_folds": 0}, "cv_folds 0 must be at least 2"),
+            ({"cv_folds": 1}, "cv_folds 1 must be at least 2"),
+            ({"c_exponent_min": 3, "c_exponent_max": 2}, "c_exponent_min 3 exceeds c_exponent_max 2"),
+        ],
+        ids=["no-em-iterations", "no-folds", "one-fold", "empty-c-grid"],
+    )
+    def test_unusable_training_settings_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(fields)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"codebok_size": 8})
@@ -188,6 +202,18 @@ class TestExtract:
         assert len(files) == 3
         assert all(read_descriptors(f).dim == 3 for f in files)
         assert not (out / "descriptors" / "video").exists()
+
+    def test_freshness_is_per_modality(self, corpus, tmp_path):
+        # Audio re-extracted under a new config must not make the old video files look fresh.
+        small = Manifest(segments=corpus.segments[:8], base_dir=corpus.base_dir)
+        changed = dataclasses.replace(CONFIG, audio=ProsodyConfig(window=0.03))
+        out = tmp_path / "per_modality"
+        pipeline.run_extract(small, CONFIG, out)
+        assert len(pipeline.run_extract(small, changed, out, modalities=("audio",)).extracted) == 8
+        result = pipeline.run_extract(small, changed, out, modalities=("video",))
+        assert result.skipped == []
+        assert result.extracted == sorted(f"video:{segment.id}" for segment in small)
+        assert pipeline.run_extract(small, changed, out).extracted == []
 
     def test_missing_media_isolated(self, corpus, tmp_path):
         broken = Manifest(
@@ -359,6 +385,17 @@ class TestTrain:
         )
         with pytest.raises(pipeline.PipelineError, match="positive"):
             pipeline.run_train(positive_only, CONFIG, trained)
+
+    def test_modality_extracted_under_another_config_refused(self, corpus, trained, tmp_path, caplog):
+        out_dir = tmp_path / "audio_changed"
+        shutil.copytree(trained, out_dir)
+        changed = dataclasses.replace(CONFIG, audio=ProsodyConfig(window=0.03))
+        pipeline.run_extract(corpus, changed, out_dir, modalities=("audio",))
+        with pytest.raises(pipeline.StaleArtifactsError, match="extract/video artifacts are stale"):
+            pipeline.run_train(corpus, changed, out_dir)
+        with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+            pipeline.run_train(corpus, changed, out_dir, force=True)
+        assert any("extract/video artifacts are stale" in message for message in caplog.messages)
 
     def test_train_without_extract_rejected(self, corpus, tmp_path):
         with pytest.raises(pipeline.PipelineError, match="extract"):
@@ -549,6 +586,17 @@ class TestCli:
         config_path.write_text('{"audio": 5}')
         assert cli.main(["train", "--manifest", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path),
                          "--config", str(config_path)]) == 2
+
+    def test_zero_gmm_iterations_exits_two_before_writing(self, corpus, trained, tmp_path):
+        out_dir = tmp_path / "no_iterations"
+        shutil.copytree(trained, out_dir)
+        before = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**json.loads(dump_config(CONFIG)), "gmm_max_iters": 0}))
+        code = cli.main(["train", "--manifest", str(corpus.base_dir / "manifest.jsonl"), "--out-dir", str(out_dir),
+                         "--config", str(config_path)])
+        assert code == 2
+        assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == before
 
     def test_workers_below_one_exits_two(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

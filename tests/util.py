@@ -256,6 +256,23 @@ def unblocked_em_step(weights, means, variances, data, variance_floor, weight_fl
     return new_weights / new_weights.sum(), new_means, new_variances, float(norm.sum())
 
 
+def unscaled_block_posteriors(rows, matrix, const) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``codebook._block_posteriors`` as it was before it took draw counts: every row counts once."""
+    dim = rows.shape[1]
+    feats = np.empty((rows.shape[0], 2 * dim))
+    feats[:, dim:] = rows
+    np.square(feats[:, dim:], out=feats[:, :dim])
+    post = feats @ matrix
+    post += const
+    peak = post.max(axis=1, keepdims=True)
+    post -= peak
+    np.maximum(post, -600.0, out=post)
+    np.exp(post, out=post)
+    total = post.sum(axis=1, keepdims=True)
+    post /= total
+    return feats, post, peak[:, 0] + np.log(total[:, 0])
+
+
 def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
     """Mean component posterior of the rows, each column summed exactly with math.fsum."""
     joint = unblocked_log_joint(weights, means, variances, np.asarray(rows, dtype=np.float64))

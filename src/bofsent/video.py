@@ -6,11 +6,23 @@ local maxima of the (absolute) 3x3 Hessian determinant across space, time and
 a small scale ladder. Each event is described by an upright SURF-style
 64-vector computed from a time-averaged patch around the event.
 
+Each box filter is the outer product of three 1-D stencils on the integral
+table, one per axis, each reading it at 2 or 4 taps. The filters are applied
+one axis at a time: x, then y, both depending on the spatial scale alone and
+so shared by every temporal scale, then t. The volume is filtered in slabs of
+``_SLAB_ROWS`` output rows, so the working set beside the fields stays a few
+slabs however large the frames. ``detect`` has the fields written into one
+flat buffer, each padded with a layer of zeros, and compares only the voxels
+above the response threshold with their neighbours in space, time and scale,
+read at flat offsets.
+
 Points travel as one tuple of (n,) arrays ``(t, y, x, sigma_s, sigma_t,
 response)``: int voxel coordinates, then float64 scales and |det H|.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +48,16 @@ class DetectorConfig:
     threshold: float = 1e-4
     max_points: int = 400
 
+    def __post_init__(self):
+        for name in ("spatial_scales", "temporal_scales"):
+            scales = getattr(self, name)
+            if not scales or not all(math.isfinite(sigma) and sigma > 0.0 for sigma in scales):
+                raise ValueError(f"{name} {scales} must be a non-empty ladder of finite positive scales")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold {self.threshold} must be finite")
+        if self.max_points < 1:
+            raise ValueError(f"max_points {self.max_points} must be at least 1")
+
 
 @dataclass(frozen=True, eq=False)
 class FrameVolume:
@@ -51,8 +73,8 @@ class FrameVolume:
         t, h, w = arr.shape
         if t < 3 or h < 16 or w < 16:
             raise ValueError(f"volume {arr.shape} below minimum filter support (3, 16, 16)")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("intensities must lie in [0, 1]")
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+            raise ValueError("intensities must be finite and lie in [0, 1]")
         object.__setattr__(self, "frames", arr)
 
     @property
@@ -68,9 +90,18 @@ def build_integral(volume: FrameVolume) -> np.ndarray:
     return table
 
 
-# A filter is a list of boxes; each box is half-open offsets relative to the
-# center voxel, (t0, t1, y0, y1, x0, x1, weight). ``area`` is the support size
-# used to normalize responses.
+# Each of the six filters is a sum of weighted boxes that factors into one
+# 1-D stencil per axis, applied to the integral table. A stencil is a tuple of
+# ``(plus, minus, weight)`` tap pairs: the sum over pairs of weight *
+# (table[c + plus] - table[c + minus]) along the axis, for centre voxel c.
+# ``support`` is the extent the stencil covers; the product of the three
+# supports normalizes the filter's response.
+#
+# Box of odd extent e, half = (e - 1) // 2:      taps {-half: -1, half+1: +1}
+# Second derivative, lobes of l weighted 1, -2, 1 over reach r = (3l - 1) // 2:
+#                                                taps {-r: -1, -r+l: +3, -r+2l: -3, r+1: +1}
+# Mixed derivative, a lobe of l either side of a one-voxel gap at the centre,
+# weighted -1 before and +1 after:               taps {-l: +1, 0: -1, 1: -1, 1+l: +1}
 
 
 def _odd(value: float) -> int:
@@ -78,65 +109,41 @@ def _odd(value: float) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _centered(extent: int) -> tuple[int, int]:
-    half = (extent - 1) // 2
-    return -half, half + 1
-
-
-def _second_derivative_boxes(axis: int, lobe: int, cross: dict[int, int]):
-    reach = (3 * lobe - 1) // 2
-    lobes = [(-reach, -reach + lobe, 1.0), (-reach + lobe, -reach + 2 * lobe, -2.0), (-reach + 2 * lobe, reach + 1, 1.0)]
-    boxes = []
-    area = 3 * lobe
-    spans = {}
-    for ax, extent in cross.items():
-        spans[ax] = _centered(extent)
-        area *= extent
-    for lo, hi, weight in lobes:
-        span = {axis: (lo, hi), **spans}
-        boxes.append((*span[0], *span[1], *span[2], weight))
-    return boxes, float(area)
-
-
-def _mixed_derivative_boxes(axis_a: int, lobe_a: int, axis_b: int, lobe_b: int, cross_axis: int, cross: int):
-    # four quadrant boxes with a one-voxel gap along each derivative axis
-    quads = [
-        ((1, 1 + lobe_a), (1, 1 + lobe_b), 1.0),
-        ((-lobe_a, 0), (1, 1 + lobe_b), -1.0),
-        ((1, 1 + lobe_a), (-lobe_b, 0), -1.0),
-        ((-lobe_a, 0), (-lobe_b, 0), 1.0),
-    ]
-    cross_span = _centered(cross)
-    boxes = []
-    for span_a, span_b, weight in quads:
-        span = {axis_a: span_a, axis_b: span_b, cross_axis: cross_span}
-        boxes.append((*span[0], *span[1], *span[2], weight))
-    return boxes, float(4 * lobe_a * lobe_b * cross)
-
-
 @lru_cache(maxsize=64)
-def _filter_bank(sigma_s: float, sigma_t: float):
-    """Box filters for the six second derivatives at one (spatial, temporal) scale."""
-    lobe_s = _odd(2.0 * sigma_s)
-    lobe_t = _odd(2.0 * sigma_t)
-    cross_s = _odd(3.0 * sigma_s)
-    cross_t = _odd(3.0 * sigma_t)
-    # axes: 0 = t, 1 = y, 2 = x
-    filters = {
-        "dxx": _second_derivative_boxes(2, lobe_s, {0: cross_t, 1: cross_s}),
-        "dyy": _second_derivative_boxes(1, lobe_s, {0: cross_t, 2: cross_s}),
-        "dtt": _second_derivative_boxes(0, lobe_t, {1: cross_s, 2: cross_s}),
-        "dxy": _mixed_derivative_boxes(2, lobe_s, 1, lobe_s, 0, cross_t),
-        "dxt": _mixed_derivative_boxes(2, lobe_s, 0, lobe_t, 1, cross_s),
-        "dyt": _mixed_derivative_boxes(1, lobe_s, 0, lobe_t, 2, cross_s),
+def _axis_stencils(sigma: float) -> dict[str, tuple[tuple[tuple[int, int, float], ...], int]]:
+    """(tap pairs, support) of the box, second- and mixed-derivative stencils along an axis at scale ``sigma``."""
+    lobe = _odd(2.0 * sigma)
+    cross = _odd(3.0 * sigma)
+    half = (cross - 1) // 2
+    reach = (3 * lobe - 1) // 2
+    return {
+        "box": (((half + 1, -half, 1.0),), cross),
+        "second": (((reach + 1, -reach, 1.0), (-reach + lobe, -reach + 2 * lobe, 3.0)), 3 * lobe),
+        "mixed": (((-lobe, 0, 1.0), (1 + lobe, 1, 1.0)), 2 * lobe),
     }
-    margins = [0, 0, 0]
-    for boxes, _ in filters.values():
-        for box in boxes:
-            for axis in range(3):
-                lo, hi = box[2 * axis], box[2 * axis + 1]
-                margins[axis] = max(margins[axis], -lo, hi - 1)
-    return filters, tuple(margins)
+
+
+def _margin(sigma: float) -> int:
+    """Voxels at each end of an axis filtered at scale ``sigma`` where some stencil does not fit."""
+    offsets = [offset for pairs, _ in _axis_stencils(sigma).values() for pair in pairs for offset in pair[:2]]
+    return max(-min(offsets), max(offsets) - 1)
+
+
+# The (t, y, x) stencils of each filter, listed so that the filters sharing a
+# t stencil are adjacent: the t stage filters each such run in one pass.
+_FILTERS = {
+    "dxx": ("box", "box", "second"),
+    "dyy": ("box", "second", "box"),
+    "dxy": ("box", "mixed", "mixed"),
+    "dxt": ("mixed", "box", "mixed"),
+    "dyt": ("mixed", "mixed", "box"),
+    "dtt": ("second", "box", "box"),
+}
+
+# Output rows filtered together. A slab's x stage reads its rows plus a halo of
+# 2 * margin + 1, so this bounds the working set; it does not change a bit of
+# the result, since every output voxel goes through the same operations.
+_SLAB_ROWS = 8
 
 
 def _det3_symmetric(dxx, dyy, dtt, dxy, dxt, dyt):
@@ -144,96 +151,143 @@ def _det3_symmetric(dxx, dyy, dtt, dxy, dxt, dyt):
     p = MIXED_TERM_WEIGHT * dxy
     q = MIXED_TERM_WEIGHT * dxt
     r = MIXED_TERM_WEIGHT * dyt
-    return dxx * (dyy * dtt - r * r) - p * (p * dtt - q * r) + q * (p * r - dyy * q)
+    # dxx * (dyy * dtt - r * r) - p * (p * dtt - q * r) + q * (p * r - dyy * q),
+    # rounded the same, with fewer temporaries alive at once.
+    det = dyy * dtt
+    det -= r * r
+    det *= dxx
+    term = p * dtt
+    term -= q * r
+    term *= p
+    det -= term
+    term = p * r
+    term -= dyy * q
+    term *= q
+    det += term
+    return det
 
 
-def _box_sum_field(table, margins, boxes, area):
-    mt, my, mx = margins
-    nt, ny, nx = (max(n - 1 - 2 * m, 0) for n, m in zip(table.shape, margins))
+def _stencil_sum(pairs, source: np.ndarray, axis: int, start: int, length: int, out=None) -> np.ndarray:
+    """A stencil along ``axis`` of ``source`` at the ``length`` centres from index ``start``, into ``out`` if given."""
 
-    def corner(dt, dy, dx):
-        return table[mt + dt : mt + dt + nt, my + dy : my + dy + ny, mx + dx : mx + dx + nx]
+    def at(offset):
+        index = [slice(None)] * source.ndim
+        index[axis] = slice(start + offset, start + offset + length)
+        return source[tuple(index)]
 
-    out = np.zeros((nt, ny, nx))
-    for t0, t1, y0, y1, x0, x1, weight in boxes:
-        out += weight * (
-            corner(t1, y1, x1)
-            - corner(t0, y1, x1)
-            - corner(t1, y0, x1)
-            - corner(t1, y1, x0)
-            + corner(t0, y0, x1)
-            + corner(t0, y1, x0)
-            + corner(t1, y0, x0)
-            - corner(t0, y0, x0)
-        )
-    return out / area
-
-
-def hessian_response_field(table: np.ndarray, sigma_s: float, sigma_t: float) -> np.ndarray:
-    """Signed Hessian determinant on the box of voxels where every filter fits.
-
-    With filter margins (mt, my, mx), entry [i, j, k] is the response at voxel
-    (mt + i, my + j, mx + k); an axis too short for the filters has extent 0.
-    """
-    filters, margins = _filter_bank(float(sigma_s), float(sigma_t))
-    return _det3_symmetric(
-        **{name: _box_sum_field(table, margins, boxes, area) for name, (boxes, area) in filters.items()}
-    )
-
-
-def _strict_local_maxima(field: np.ndarray) -> np.ndarray:
-    """Voxels above all 26 neighbours, with zeros beyond the array's faces."""
-    padded = np.pad(field, 1)
-    t, h, w = field.shape
-    result = np.ones(field.shape, dtype=bool)
-    for dt in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dt == dy == dx == 0:
-                    continue
-                neighbor = padded[1 + dt : 1 + dt + t, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-                result &= field > neighbor
-    return result
-
-
-def _read_box(box: tuple[slice, ...], values: np.ndarray, target: tuple[slice, ...]) -> np.ndarray:
-    """Read a field that holds ``values`` on ``box`` and zeros elsewhere over the ``target`` box."""
-    out = np.zeros(tuple(s.stop - s.start for s in target))
-    common = [slice(max(b.start, s.start), min(b.stop, s.stop)) for b, s in zip(box, target)]
-    if all(c.start < c.stop for c in common):
-        into = tuple(slice(c.start - s.start, c.stop - s.start) for c, s in zip(common, target))
-        out[into] = values[tuple(slice(c.start - b.start, c.stop - b.start) for c, b in zip(common, box))]
+    (plus, minus, weight), *rest = pairs
+    out = np.subtract(at(plus), at(minus), out=out)
+    if weight != 1.0:
+        out *= weight
+    for plus, minus, weight in rest:
+        term = at(plus) - at(minus)
+        if weight != 1.0:
+            term *= weight
+        out += term
     return out
 
 
-def _scale_space_maxima(table: np.ndarray, config: DetectorConfig) -> list[tuple[np.ndarray, ...]]:
-    """(si, ti, t, y, x, response) columns of the strict maxima, one tuple per scale pair."""
+def hessian_response_field(
+    table: np.ndarray, sigma_s: float, temporal_scales: tuple[float, ...], out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Signed Hessian determinant at spatial scale ``sigma_s``, one field per temporal scale.
+
+    Each field is kept on the box of voxels where every filter fits. With
+    margins (mt, m, m), ``_margin`` of sigma_t and of sigma_s, entry [i, j, k]
+    is the response at voxel (mt + i, m + j, m + k); an axis too short for the
+    filters has extent 0. The x and y stages of the filters depend on
+    ``sigma_s`` only, so they are computed once and shared by every temporal
+    scale. ``out``, one array of each field's shape, receives the fields in
+    place of new arrays.
+    """
+    spatial = _axis_stencils(sigma_s)
+    m = _margin(sigma_s)
+    ny, nx = (max(n - 1 - 2 * m, 0) for n in table.shape[1:])
+    slab = max(min(_SLAB_ROWS, ny), 1)
+    t_kinds = [kt for kt, _, _ in _FILTERS.values()]
+    runs = {kind: slice(t_kinds.index(kind), t_kinds.index(kind) + t_kinds.count(kind)) for kind in t_kinds}
+    # The fields of every temporal scale are stacked along t, so the
+    # determinant is taken once per slab for all of them.
+    temporal, start = [], 0
+    for sigma_t in temporal_scales:
+        stencils, mt = _axis_stencils(sigma_t), _margin(sigma_t)
+        length = max(table.shape[0] - 1 - 2 * mt, 0)
+        areas = np.array([stencils[kt][1] * spatial[ky][1] * spatial[kx][1] for kt, ky, kx in _FILTERS.values()])
+        temporal.append((stencils, mt, slice(start, start + length), areas.astype(np.float64)[:, None, None, None]))
+        start += length
+    if out is None:
+        out = [np.empty((span.stop - span.start, ny, nx)) for _, _, span, _ in temporal]
+    planes = np.empty((len(_FILTERS), table.shape[0], slab, nx))
+    derivatives = np.empty((len(_FILTERS), start, slab, nx))
+    for row in range(0, ny, slab):
+        rows = min(slab, ny - row)
+        window = table[:, row : row + rows + 2 * m + 1]
+        for kind, (pairs, _) in spatial.items():
+            along_x = _stencil_sum(pairs, window, 2, m, nx)
+            for i, (_, ky, kx) in enumerate(_FILTERS.values()):
+                if kx == kind:
+                    _stencil_sum(spatial[ky][0], along_x, 1, m, rows, out=planes[i, :, :rows])
+            del along_x
+        slab_derivatives = derivatives[:, :, :rows]
+        for stencils, mt, span, areas in temporal:
+            length = span.stop - span.start
+            for kind, run in runs.items():
+                _stencil_sum(stencils[kind][0], planes[run, :, :rows], 1, mt, length, out=slab_derivatives[run, span])
+            slab_derivatives[:, span] /= areas
+        det = _det3_symmetric(**dict(zip(_FILTERS, slab_derivatives)))
+        for field, (_, _, span, _) in zip(out, temporal):
+            field[:, row : row + rows] = det[span]
+    return out
+
+
+def _scale_space_maxima(table: np.ndarray, config: DetectorConfig) -> tuple[np.ndarray, ...]:
+    """(si, ti, t, y, x, response) columns of the strict maxima over space, time and scale."""
     # Each |det H| field is kept on the box where its filters fit. Read as a
     # whole-volume field it is zero outside the box (filter margins are at
     # least one voxel, so every box has a layer of such zeros around it), and a
     # zero is never a strict maximum of a nonnegative field, so no point lies
-    # outside a box.
-    fields = {}
+    # outside a box. The fields, each padded with that layer of zeros, lie end
+    # to end in one flat buffer. Only the voxels above the threshold and above
+    # 0, which leaves out the padding, are compared with their neighbours.
+    n_t = len(config.temporal_scales)
+    margins = np.array(
+        [[_margin(st), _margin(ss), _margin(ss)] for ss in config.spatial_scales for st in config.temporal_scales]
+    )
+    boxes = np.maximum(np.array(table.shape) - 1 - 2 * margins, 0)
+    padded = boxes + 2
+    starts = np.concatenate([[0], np.cumsum(padded.prod(axis=1))])
+    buffer = np.zeros(starts[-1])
     for si, sigma_s in enumerate(config.spatial_scales):
-        for ti, sigma_t in enumerate(config.temporal_scales):
-            margins = _filter_bank(float(sigma_s), float(sigma_t))[1]
-            field = np.abs(hessian_response_field(table, sigma_s, sigma_t))
-            fields[si, ti] = tuple(slice(m, m + n) for m, n in zip(margins, field.shape)), field
+        scale = range(si * n_t, (si + 1) * n_t)
+        fields = [buffer[starts[k] : starts[k + 1]].reshape(padded[k])[1:-1, 1:-1, 1:-1] for k in scale]
+        for field in hessian_response_field(table, sigma_s, config.temporal_scales, out=fields):
+            np.abs(field, out=field)
 
-    empty = np.empty(0, dtype=np.intp)
-    columns = [(empty, empty, empty, empty, empty, np.empty(0))]
-    for (si, ti), (box, field) in fields.items():
-        mask = field > config.threshold
-        if not mask.any():
-            continue
-        mask &= _strict_local_maxima(field)
-        for dsi in (-1, 0, 1):
-            for dti in (-1, 0, 1):
-                if (dsi or dti) and (si + dsi, ti + dti) in fields:
-                    mask &= field > _read_box(*fields[si + dsi, ti + dti], box)
-        t, y, x = (index + s.start for index, s in zip(np.nonzero(mask), box))
-        columns.append((np.full(t.size, si), np.full(t.size, ti), t, y, x, field[mask]))
-    return columns
+    flat = np.flatnonzero(buffer > max(config.threshold, 0.0))
+    k = np.searchsorted(starts, flat, side="right") - 1
+    values = buffer[flat]
+    plane, row = padded[k, 1] * padded[k, 2], padded[k, 2]
+    peak = np.ones(flat.size, dtype=bool)
+    for dt, dy in itertools.product((-1, 0, 1), repeat=2):
+        shifted = flat + dt * plane + dy * row
+        for dx in (-1, 0, 1):
+            if dt or dy or dx:
+                peak &= values > buffer[shifted + dx]
+    flat, k, values, plane, row = flat[peak], k[peak], values[peak], plane[peak], row[peak]
+
+    local = flat - starts[k]
+    voxels = np.stack([local // plane, local % plane // row, local % row], axis=1) - 1 + margins[k]
+    si, ti = np.divmod(k, n_t)
+    peak = np.ones(flat.size, dtype=bool)
+    for dsi, dti in itertools.product((-1, 0, 1), repeat=2):
+        if dsi or dti:
+            exists = (0 <= si + dsi) & (si + dsi < len(config.spatial_scales)) & (0 <= ti + dti) & (ti + dti < n_t)
+            other = np.where(exists, k + dsi * n_t + dti, k)
+            # Clipped onto the padding, a voxel outside the other box reads 0.
+            t, y, x = (np.clip(voxels - margins[other], -1, boxes[other]) + 1).T
+            peak &= ~exists | (values > buffer[starts[other] + (t * padded[other, 1] + y) * padded[other, 2] + x])
+    t, y, x = voxels[peak].T
+    return si[peak], ti[peak], t, y, x, values[peak]
 
 
 def detect(table: np.ndarray, config: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, ...]:
@@ -243,13 +297,11 @@ def detect(table: np.ndarray, config: DetectorConfig = DetectorConfig()) -> tupl
     descending response with a deterministic tie order (scale index, then t,
     y, x).
     """
-    if not config.spatial_scales or not config.temporal_scales:
-        raise ValueError("scale ladder must be non-empty")
     # The point arrays are built after the fields are freed. Built while the
     # fields were alive, they landed high in the extracting thread's heap and
     # stayed there in numpy's small-buffer cache, which kept the freed fields
     # below them resident (about 10 MB more RSS on the `ingest` workload).
-    si, ti, t, y, x, response = (np.concatenate(column) for column in zip(*_scale_space_maxima(table, config)))
+    si, ti, t, y, x, response = _scale_space_maxima(table, config)
     order = np.lexsort((x, y, t, ti, si, -response))
     return (
         t[order],

@@ -608,6 +608,19 @@ class TestCli:
         assert code == 2
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("video", [{"max_points": -1}, {"spatial_scales": [-1.2]}, {"threshold": float("nan")}])
+    def test_unusable_detector_settings_exit_two(self, tmp_path, video):
+        corpus_dir = tmp_path / "corpus"
+        generate_corpus(corpus_dir, SynthConfig(n_train=2, n_validation=2, frames=8, height=20, width=20,
+                                                duration=0.3), seed=1)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"video": video}))
+        out_dir = tmp_path / "o"
+        code = cli.main(["extract", "--manifest", str(corpus_dir / "manifest.jsonl"), "--out-dir", str(out_dir),
+                         "--config", str(config_path)])
+        assert code == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])

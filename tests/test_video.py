@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bofsent import video
+from bofsent.synth import SynthConfig, synth_video
 from bofsent.video import (
     FrameVolume,
     DetectorConfig,
@@ -16,6 +20,8 @@ from bofsent.video import (
 )
 from util import (
     blob_volume,
+    box_filter_bank,
+    box_hessian_fields,
     box_sum,
     brute_box_sum,
     full_field_detect,
@@ -89,9 +95,7 @@ class TestHessianResponse:
         # probe the six responses through the field of a blob with no cross structure
         volume = blob_volume((24, 48, 48), (12.0, 24.0, 24.0), 3.0, 2.0)
         table = build_integral(volume)
-        from bofsent.video import _filter_bank  # internal probe of per-derivative values
-
-        filters, _ = _filter_bank(2.4, 2.0)
+        filters, _ = box_filter_bank(2.4, 2.0)
         values = {}
         for name, (boxes, area) in filters.items():
             acc = 0.0
@@ -119,11 +123,72 @@ class TestHessianResponse:
             assert field[t, y, x] == pytest.approx(hessian_response(table, x, y, t, 1.2, 1.0), abs=1e-12)
 
     def test_field_spans_the_filter_box(self):
-        # Margins are (4, 4, 4) at (1.2, 1.0), (13, 7, 7) at (2.4, 4.0) and (4, 28, 28) at (9.0, 1.0).
+        # Margins are 4 at scale 1.0 and 1.2, 7 at 2.4, 13 at 4.0 and 28 at 9.0.
         table = build_integral(FrameVolume(frames=np.zeros((12, 40, 40)), frame_rate=10.0))
-        assert hessian_response_field(table, 1.2, 1.0).shape == (4, 32, 32)
-        assert hessian_response_field(table, 2.4, 4.0).shape == (0, 26, 26)
-        assert hessian_response_field(table, 9.0, 1.0).shape == (4, 0, 0)
+        assert [f.shape for f in hessian_response_field(table, 1.2, (1.0, 4.0))] == [(4, 32, 32), (0, 32, 32)]
+        assert [f.shape for f in hessian_response_field(table, 2.4, (4.0,))] == [(0, 26, 26)]
+        assert [f.shape for f in hessian_response_field(table, 9.0, (1.0,))] == [(4, 0, 0)]
+        assert hessian_response_field(table, 1.2, ()) == []
+
+
+@st.composite
+def structured_volumes(draw):
+    """Uniform noise, or a blob on a dark background with 1% noise, at a drawn shape; maybe on the u8 grid."""
+    shape = (draw(st.integers(3, 40)), draw(st.integers(16, 70)), draw(st.integers(16, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        frames = rng.random(shape)
+    else:
+        center = tuple(float(rng.uniform(0, n - 1)) for n in shape)
+        blob = blob_volume(shape, center, float(rng.uniform(1.5, 4.0)), float(rng.uniform(1.0, 3.0)), background=0.0)
+        frames = np.clip(blob.frames + 0.01 * rng.standard_normal(shape), 0.0, 1.0)
+    if draw(st.booleans()):
+        frames = np.round(frames * 255.0) / 255.0
+    return FrameVolume(frames=frames, frame_rate=10.0)
+
+
+class TestStencilField:
+    """``hessian_response_field`` (per-axis stencils) against the box filters it replaced, in ``util``."""
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="needs an extended-precision long double"
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        structured_volumes(),
+        st.sampled_from([1.2, 2.4, 4.8, 9.0]),
+        st.lists(st.sampled_from([0.4, 1.0, 2.0, 4.0]), min_size=1, max_size=3).map(tuple),
+    )
+    def test_matches_box_filters(self, volume, sigma_s, temporal_scales):
+        # The box filters run in extended precision, since in float64 their
+        # own rounding reaches 2.4e-12 of max|field| on uniform noise. Both
+        # roundings grow with the integral table rather than the field: on a
+        # weak field over a bright background (1% noise around 0.5) the
+        # stencils come within 8.1e-12 of max|field| and the float64 boxes
+        # within 1.1e-10, so such volumes are not drawn here.
+        table = build_integral(volume)
+        fields = hessian_response_field(table, sigma_s, temporal_scales)
+        references = box_hessian_fields(table.astype(np.longdouble), sigma_s, temporal_scales)
+        assert len(fields) == len(references)
+        for field, reference in zip(fields, references):
+            assert field.shape == reference.shape
+            if field.size:
+                error = np.abs(field - reference).max()
+                assert error <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("rows", [1, 7, 10000])
+    def test_slab_height_and_out_change_no_bit(self, monkeypatch, rows):
+        rng = np.random.default_rng(5)
+        table = build_integral(FrameVolume(frames=rng.random((12, 45, 37)), frame_rate=10.0))
+        ladder = (0.4, 1.0, 4.0)  # 12 frames leave no room for sigma_t = 4
+        expected = {sigma_s: hessian_response_field(table, sigma_s, ladder) for sigma_s in (1.2, 2.4, 9.0)}
+        monkeypatch.setattr(video, "_SLAB_ROWS", rows)
+        for sigma_s, fields in expected.items():
+            got = hessian_response_field(table, sigma_s, ladder)
+            out = [np.full(f.shape, np.nan) for f in fields]
+            assert hessian_response_field(table, sigma_s, ladder, out=out) is out
+            assert [f.shape for f in got] == [f.shape for f in fields]
+            assert all(a.tobytes() == b.tobytes() == c.tobytes() for a, b, c in zip(got, out, fields))
 
 
 class TestDetect:
@@ -162,6 +227,32 @@ class TestDetect:
         table = build_integral(FrameVolume(frames=np.zeros((9, 21, 21)), frame_rate=10.0))
         config = DetectorConfig(spatial_scales=(3.0,), temporal_scales=(1.0,), threshold=-1.0)
         assert point_rows(detect(table, config)) == full_field_detect(table, config) == []
+
+    def test_one_field_call_per_spatial_scale(self, monkeypatch):
+        # bench/layers.py times video.hessian_s by wrapping this module attribute.
+        calls = []
+        field = video.hessian_response_field
+
+        def counted(table, sigma_s, temporal_scales, **kwargs):
+            calls.append((sigma_s, temporal_scales))
+            return field(table, sigma_s, temporal_scales, **kwargs)
+
+        monkeypatch.setattr(video, "hessian_response_field", counted)
+        config = DetectorConfig()
+        detect(build_integral(blob_volume((20, 40, 40), (10.0, 20.0, 20.0), 3.0, 2.0)), config)
+        assert calls == [(sigma_s, config.temporal_scales) for sigma_s in config.spatial_scales]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ingest_shaped_points_match_box_filter_fields(self, monkeypatch, seed):
+        # The benchmark's `ingest` video: 32x64x64 synthetic segments on the u8 grid.
+        cfg = SynthConfig(frames=32, height=64, width=64)
+        frames = synth_video(np.random.default_rng(seed), 1 if seed % 2 else -1, cfg).frames
+        table = build_integral(FrameVolume(frames=np.round(frames * 255.0) / 255.0, frame_rate=cfg.frame_rate))
+        points = detect(table)
+        monkeypatch.setattr(video, "hessian_response_field", box_hessian_fields)
+        reference = detect(table)
+        assert points[0].size
+        assert point_rows(points[:5]) == point_rows(reference[:5])
 
     def test_constant_volume_empty(self):
         table = build_integral(FrameVolume(frames=np.full((16, 32, 32), 0.3), frame_rate=10.0))
@@ -323,6 +414,34 @@ class TestExtractVideoDescriptors:
         a = extract_video_descriptors(volume, SMALL_LADDER)
         b = extract_video_descriptors(volume, SMALL_LADDER)
         assert np.array_equal(a, b)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"spatial_scales": ()},
+            {"temporal_scales": ()},
+            {"spatial_scales": (-1.2,)},
+            {"spatial_scales": (1.2, 0.0)},
+            {"temporal_scales": (1.0, math.inf)},
+            {"temporal_scales": (math.nan,)},
+            {"threshold": math.nan},
+            {"threshold": -math.inf},
+            {"max_points": 0},
+            {"max_points": -1},
+        ],
+    )
+    def test_detector_config_rejects(self, fields):
+        (name,) = fields
+        with pytest.raises(ValueError, match=name):
+            DetectorConfig(**fields)
+
+    def test_frame_volume_rejects_nan(self):
+        frames = np.full((4, 16, 16), 0.5)
+        frames[2, 3, 4] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            FrameVolume(frames=frames, frame_rate=10.0)
 
 
 class TestVolumeIo:

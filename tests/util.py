@@ -15,7 +15,10 @@ The ``per_row_*`` functions keep the former one-segment-at-a-time fusion and
 metric formulas as the reference for the array versions in ``fusion`` and
 ``metrics``. ``box_sum``, ``hessian_response`` and ``per_point_describe`` keep
 the former one-voxel and one-point video formulas as the reference for the
-whole-field detector and the batched describer in ``video``.
+whole-field detector and the batched describer in ``video``. ``box_filter_bank``
+and ``box_sum_field`` keep the former box filters, summed from 8 integral-table
+corners per box, and ``box_hessian_fields`` builds from them the reference for
+the per-axis stencils of ``video.hessian_response_field``.
 """
 from __future__ import annotations
 
@@ -24,10 +27,11 @@ import math
 
 import numpy as np
 
+from bofsent import video
 from bofsent.codebook import BLOCK
 from bofsent.metrics import ConfusionMatrix, MetricReport, mae, multiclass_accuracy, pearson, prf1
 from bofsent.prosody import PcmSignal
-from bofsent.video import FrameVolume, _det3_symmetric, _filter_bank, hessian_response_field
+from bofsent.video import FrameVolume, _det3_symmetric, _odd
 
 
 def tone(freq: float, duration: float, sample_rate: int = 16000, amplitude: float = 0.5) -> PcmSignal:
@@ -61,10 +65,112 @@ def interp_salience(
     return float(scores.max())
 
 
+# A box filter is a list of boxes; each box is half-open offsets relative to
+# the center voxel, (t0, t1, y0, y1, x0, x1, weight). ``area`` is the support
+# size used to normalize responses.
+
+
+def _centered(extent: int) -> tuple[int, int]:
+    half = (extent - 1) // 2
+    return -half, half + 1
+
+
+def _second_derivative_boxes(axis: int, lobe: int, cross: dict[int, int]):
+    reach = (3 * lobe - 1) // 2
+    lobes = [(-reach, -reach + lobe, 1.0), (-reach + lobe, -reach + 2 * lobe, -2.0), (-reach + 2 * lobe, reach + 1, 1.0)]
+    boxes = []
+    area = 3 * lobe
+    spans = {}
+    for ax, extent in cross.items():
+        spans[ax] = _centered(extent)
+        area *= extent
+    for lo, hi, weight in lobes:
+        span = {axis: (lo, hi), **spans}
+        boxes.append((*span[0], *span[1], *span[2], weight))
+    return boxes, float(area)
+
+
+def _mixed_derivative_boxes(axis_a: int, lobe_a: int, axis_b: int, lobe_b: int, cross_axis: int, cross: int):
+    # four quadrant boxes with a one-voxel gap along each derivative axis
+    quads = [
+        ((1, 1 + lobe_a), (1, 1 + lobe_b), 1.0),
+        ((-lobe_a, 0), (1, 1 + lobe_b), -1.0),
+        ((1, 1 + lobe_a), (-lobe_b, 0), -1.0),
+        ((-lobe_a, 0), (-lobe_b, 0), 1.0),
+    ]
+    cross_span = _centered(cross)
+    boxes = []
+    for span_a, span_b, weight in quads:
+        span = {axis_a: span_a, axis_b: span_b, cross_axis: cross_span}
+        boxes.append((*span[0], *span[1], *span[2], weight))
+    return boxes, float(4 * lobe_a * lobe_b * cross)
+
+
+def box_filter_bank(sigma_s: float, sigma_t: float):
+    """({name: (boxes, area)}, (mt, my, mx) margins) of the six second-derivative box filters at one scale pair."""
+    lobe_s = _odd(2.0 * sigma_s)
+    lobe_t = _odd(2.0 * sigma_t)
+    cross_s = _odd(3.0 * sigma_s)
+    cross_t = _odd(3.0 * sigma_t)
+    # axes: 0 = t, 1 = y, 2 = x
+    filters = {
+        "dxx": _second_derivative_boxes(2, lobe_s, {0: cross_t, 1: cross_s}),
+        "dyy": _second_derivative_boxes(1, lobe_s, {0: cross_t, 2: cross_s}),
+        "dtt": _second_derivative_boxes(0, lobe_t, {1: cross_s, 2: cross_s}),
+        "dxy": _mixed_derivative_boxes(2, lobe_s, 1, lobe_s, 0, cross_t),
+        "dxt": _mixed_derivative_boxes(2, lobe_s, 0, lobe_t, 1, cross_s),
+        "dyt": _mixed_derivative_boxes(1, lobe_s, 0, lobe_t, 2, cross_s),
+    }
+    margins = [0, 0, 0]
+    for boxes, _ in filters.values():
+        for box in boxes:
+            for axis in range(3):
+                lo, hi = box[2 * axis], box[2 * axis + 1]
+                margins[axis] = max(margins[axis], -lo, hi - 1)
+    return filters, tuple(margins)
+
+
+def box_sum_field(table, margins, boxes, area):
+    """One box filter on the box of voxels where it fits, as 8 integral-table corners per box."""
+    mt, my, mx = margins
+    nt, ny, nx = (max(n - 1 - 2 * m, 0) for n, m in zip(table.shape, margins))
+
+    def corner(dt, dy, dx):
+        return table[mt + dt : mt + dt + nt, my + dy : my + dy + ny, mx + dx : mx + dx + nx]
+
+    out = np.zeros((nt, ny, nx), dtype=table.dtype)
+    for t0, t1, y0, y1, x0, x1, weight in boxes:
+        out += weight * (
+            corner(t1, y1, x1)
+            - corner(t0, y1, x1)
+            - corner(t1, y0, x1)
+            - corner(t1, y1, x0)
+            + corner(t0, y0, x1)
+            + corner(t0, y1, x0)
+            + corner(t1, y0, x0)
+            - corner(t0, y0, x0)
+        )
+    return out / area
+
+
+def box_hessian_fields(table, sigma_s, temporal_scales, out=None) -> list[np.ndarray]:
+    """``video.hessian_response_field``, ``out`` included, from whole boxes, one filter and sigma_t at a time."""
+    fields = []
+    for sigma_t in temporal_scales:
+        filters, margins = box_filter_bank(float(sigma_s), float(sigma_t))
+        sums = {name: box_sum_field(table, margins, boxes, area) for name, (boxes, area) in filters.items()}
+        fields.append(_det3_symmetric(**sums))
+    if out is not None:
+        for target, field in zip(out, fields):
+            target[...] = field
+        return out
+    return fields
+
+
 def full_hessian_field(table, sigma_s, sigma_t) -> np.ndarray:
-    """``video.hessian_response_field`` pasted into a whole-volume field of zeros at its filter margins."""
-    det = hessian_response_field(table, sigma_s, sigma_t)
-    margins = _filter_bank(float(sigma_s), float(sigma_t))[1]
+    """``video.hessian_response_field`` at one scale pair, pasted into a whole-volume field of zeros at its margins."""
+    (det,) = video.hessian_response_field(table, sigma_s, (sigma_t,))
+    margins = box_filter_bank(float(sigma_s), float(sigma_t))[1]
     full = np.zeros(tuple(n - 1 for n in table.shape))
     full[tuple(slice(m, m + n) for m, n in zip(margins, det.shape))] = det
     return full
@@ -128,7 +234,7 @@ def hessian_response(table: np.ndarray, x: int, y: int, t: int, sigma_s: float, 
 
     Raises when the filter support does not fit inside the volume.
     """
-    filters, margins = _filter_bank(float(sigma_s), float(sigma_t))
+    filters, margins = box_filter_bank(float(sigma_s), float(sigma_t))
     nt, ny, nx = (n - 1 for n in table.shape)
     mt, my, mx = margins
     if not (mt <= t < nt - mt and my <= y < ny - my and mx <= x < nx - mx):

@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .atomic import atomic_open
+from .metrics import mean_rate
 
 SVM_MAGIC = b"SVM1"
 _SVM_HEADER = struct.Struct("<4sIdddd")
@@ -197,11 +198,9 @@ def train_svm(
     w = v[:dim].copy()
     b = float(v[dim])
     distances = _distances(w, b, X)
-    score_min = float(distances.min())
-    score_max = float(distances.max())
-    if not score_min < score_max:
-        raise ValueError("degenerate normalization bounds: all training distances equal")
-    return LinearSvmModel(w=w, b=b, C=float(C), score_min=score_min, score_max=score_max, solve=solve)
+    return LinearSvmModel(
+        w=w, b=b, C=float(C), score_min=float(distances.min()), score_max=float(distances.max()), solve=solve
+    )
 
 
 def _distances(w: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:
@@ -252,31 +251,27 @@ def cv_accuracy_table(
     c_grid: Sequence[float] = c_grid(),
     max_epochs: int = 1000,
     tol: float = 1e-6,
-    solves: list[dict] | None = None,
-) -> list[tuple[float, float]]:
-    """Mean held-out fold accuracy for every regularization candidate.
+) -> tuple[list[tuple[float, float]], list[dict]]:
+    """Mean held-out fold accuracy for every regularization candidate, and how each solve ended.
 
-    ``seed`` draws the stratified folds. When ``solves`` is given, one
-    {"C", "fold", "iterations", "gap", "converged"} record per (C, fold) is
-    appended to it, in table order.
+    ``seed`` draws the stratified folds. Returns the (C, accuracy) table and
+    one {"C", "fold", "iterations", "gap", "converged"} record per (C, fold),
+    in table order.
     """
     X, y = _validate_problem(X, y)
     folds = stratified_folds(y, n_folds, seed)
-    all_idx = np.arange(X.shape[0])
+    sizes = [fold.size for fold in folds]
     table = []
+    solves = []
     for C in c_grid:
-        accuracies = []
+        correct = []
         for index, fold in enumerate(folds):
-            train_mask = np.ones(X.shape[0], dtype=bool)
-            train_mask[fold] = False
-            train_idx = all_idx[train_mask]
-            model = train_svm(X[train_idx], y[train_idx], C, max_epochs=max_epochs, tol=tol)
-            if solves is not None:
-                solves.append({"C": C, "fold": index, **model.solve._asdict()})
+            model = train_svm(np.delete(X, fold, axis=0), np.delete(y, fold), C, max_epochs=max_epochs, tol=tol)
+            solves.append({"C": C, "fold": index, **model.solve._asdict()})
             predicted = np.where(decision_distances(model, X[fold]) > 0.0, 1.0, -1.0)
-            accuracies.append(float((predicted == y[fold]).mean()))
-        table.append((C, float(np.mean(accuracies))))
-    return table
+            correct.append(np.count_nonzero(predicted == y[fold]))
+        table.append((C, mean_rate(correct, sizes)))
+    return table, solves
 
 
 def write_svm_model(path: str | Path, model: LinearSvmModel) -> None:

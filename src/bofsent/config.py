@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,28 +64,40 @@ class PipelineConfig:
 _FUSION_FIELDS = ("fusion_mode", "theta", "theta_grid_step")
 
 
-def _from_dict(cls, raw):
-    """``cls`` from a parsed JSON object: nested sections become their config classes and lists tuples."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, not {type(raw).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields {sorted(unknown)}")
-    values = {}
-    for name, value in raw.items():
-        section = fields[name].default_factory
-        if dataclasses.is_dataclass(section):
-            value = _from_dict(section, value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        values[name] = value
-    return cls(**values)
+# The parsed JSON values each scalar field type takes: JSON true and false are never numbers.
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
+
+
+def _from_json(name: str, hint, value):
+    """``value``, parsed from JSON, as the field type ``hint``: config classes from objects, tuples from arrays.
+
+    A value whose JSON type does not fit its field, or an object naming an
+    unknown field, raises ``ValueError``.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"{hint.__name__} must be a JSON object, not {type(value).__name__}")
+        hints = typing.get_type_hints(hint)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ValueError(f"unknown {hint.__name__} fields {sorted(unknown)}")
+        return hint(**{key: _from_json(f"{hint.__name__}.{key}", hints[key], item) for key, item in value.items()})
+    args = typing.get_args(hint)  # (float, ...) of tuple[float, ...]; (float, NoneType) of float | None
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a JSON array, not {type(value).__name__} {value!r}")
+        return tuple(_from_json(f"{name}[{index}]", args[0], item) for index, item in enumerate(value))
+    if value is None and type(None) in args:
+        return value
+    accepted, json_name = _JSON_TYPES[args[0] if args else hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be a JSON {json_name}, not {type(value).__name__} {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """A config from parsed JSON; omitted fields keep their defaults and unknown ones raise ``ValueError``."""
-    return _from_dict(PipelineConfig, raw)
+    return _from_json("config", PipelineConfig, raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

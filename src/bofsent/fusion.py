@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import confusion, unit_interval
+from .metrics import confusion, mean_rate, unit_interval
 
 MODES = ("score", "output")
 THETA_GRID_STEP = 0.2
@@ -75,10 +75,11 @@ def output_level_fuse(audio: np.ndarray, video: np.ndarray) -> tuple[np.ndarray,
 def classification_error(truth: np.ndarray, predicted: np.ndarray) -> float:
     """Mean of the two per-class error rates of bool ``predicted`` labels against ``truth``."""
     cm = confusion(predicted, truth)
-    for name, members in (("positive", cm.tp + cm.fn), ("negative", cm.fp + cm.tn)):
-        if not members:
+    members = (cm.tp + cm.fn, cm.fp + cm.tn)
+    for name, count in zip(("positive", "negative"), members):
+        if not count:
             raise ValueError(f"class {name} absent from ground truth")
-    return (cm.fn / (cm.tp + cm.fn) + cm.fp / (cm.fp + cm.tn)) / 2.0
+    return mean_rate((cm.fn, cm.fp), members)
 
 
 def evaluate_theta(audio: np.ndarray, video: np.ndarray, truth: np.ndarray, theta: float) -> float:

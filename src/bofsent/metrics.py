@@ -10,6 +10,7 @@ abort a run: report assembly records them as flags and substitutes zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,15 @@ def unit_interval(name: str, values) -> np.ndarray:
     return values
 
 
+def mean_rate(hits: Sequence[int], members: Sequence[int]) -> float:
+    """Mean of the rates ``hits[i] / members[i]``, summed as exact fractions and rounded once.
+
+    Every metric that averages per-class or per-fold rates goes through here,
+    so rates that are equal as fractions compare equal as floats.
+    """
+    return float(sum(Fraction(int(h), int(m)) for h, m in zip(hits, members, strict=True)) / len(members))
+
+
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
     pred = _as_labels("predicted", pred)
     truth = _as_labels("truth", truth)
@@ -74,21 +84,15 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
 
 
 def prf1(cm: ConfusionMatrix) -> Prf1:
-    """Precision, recall and F1; undefined quantities become 0 with the degenerate flag."""
-    degenerate = False
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
-    else:
-        precision, degenerate = 0.0, True
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
-    else:
-        recall, degenerate = 0.0, True
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1, degenerate = 0.0, True
-    return Prf1(precision=precision, recall=recall, f1=f1, degenerate=degenerate)
+    """Precision, recall and F1; undefined quantities become 0 with the degenerate flag.
+
+    All three are defined and positive exactly when there is a true positive.
+    """
+    if not cm.tp:
+        return Prf1(precision=0.0, recall=0.0, f1=0.0, degenerate=True)
+    precision = cm.tp / (cm.tp + cm.fp)
+    recall = cm.tp / (cm.tp + cm.fn)
+    return Prf1(precision=precision, recall=recall, f1=2.0 * precision * recall / (precision + recall))
 
 
 def scale_confidence(confidence: np.ndarray | float) -> np.ndarray:
@@ -96,24 +100,25 @@ def scale_confidence(confidence: np.ndarray | float) -> np.ndarray:
     return SENTIMENT_SPAN * unit_interval("confidence", confidence) - SENTIMENT_SPAN / 2.0
 
 
-def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
+def _paired(pred: Sequence[float], truth: Sequence[float], minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pred`` and ``truth`` as equal-length float64 vectors of at least ``minimum`` entries."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
-    if pred.size == 0:
-        raise ValueError("cannot compute MAE of zero samples")
+    if pred.size < minimum:
+        raise ValueError(f"need at least {minimum} sample(s), got {pred.size}")
+    return pred, truth
+
+
+def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
+    pred, truth = _paired(pred, truth, 1)
     return float(np.abs(pred - truth).mean())
 
 
 def pearson(pred: Sequence[float], truth: Sequence[float]) -> float:
     """Sample correlation coefficient; raises on constant inputs."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("inputs must be equal-length vectors")
-    if pred.size < 2:
-        raise ValueError("need at least 2 samples")
+    pred, truth = _paired(pred, truth, 2)
     dp = pred - pred.mean()
     dt = truth - truth.mean()
     denom = float(np.sqrt((dp @ dp) * (dt @ dt)))
@@ -122,45 +127,30 @@ def pearson(pred: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.clip((dp @ dt) / denom, -1.0, 1.0))
 
 
-def _bin_sentiment(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(values), -3, 3)
-
-
 def multiclass_accuracy(
     pred_sentiment: Sequence[float], truth_sentiment: Sequence[float], classes: int
 ) -> float:
     """Mean per-class recall after binning sentiments into 5 or 7 classes.
 
     7-class bins round to the nearest integer in {-3..3}. The 5-class variant
-    clamps *predictions* into [-2, 2] before rounding while ground truth keeps
+    clamps rounded *predictions* into [-2, 2] while ground truth keeps
     its rounded class, so extreme truths are never recalled by construction.
     Averaging runs over the classes present in the ground truth.
     """
-    pred = np.asarray(pred_sentiment, dtype=np.float64)
-    truth = np.asarray(truth_sentiment, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("inputs must be equal-length vectors")
-    if pred.size == 0:
-        raise ValueError("cannot compute accuracy of zero samples")
-    if classes == 7:
-        pred_bins = _bin_sentiment(pred)
-    elif classes == 5:
-        pred_bins = np.rint(np.clip(pred, -2, 2))
-    else:
+    pred, truth = _paired(pred_sentiment, truth_sentiment, 1)
+    if classes not in (5, 7):
         raise ValueError("classes must be 5 or 7")
-    truth_bins = _bin_sentiment(truth)
-    recalls = []
-    for cls in np.unique(truth_bins):
-        members = truth_bins == cls
-        recalls.append(float((pred_bins[members] == cls).mean()))
-    return float(np.mean(recalls))
+    pred_bins = np.clip(np.rint(pred), -(classes // 2), classes // 2)
+    truth_bins = np.clip(np.rint(truth), -3, 3)
+    bins, index, members = np.unique(truth_bins, return_inverse=True, return_counts=True)
+    hits = np.bincount(index[pred_bins == truth_bins], minlength=bins.size)
+    return mean_rate(hits, members)
 
 
 def binary_accuracies(cm: ConfusionMatrix) -> tuple[float, float]:
     """(plain accuracy, mean per-class recall) of a confusion matrix."""
-    per_class = ((cm.tp, cm.tp + cm.fn), (cm.tn, cm.tn + cm.fp))
-    recalls = [hits / members for hits, members in per_class if members]
-    return (cm.tp + cm.tn) / cm.total, float(np.mean(recalls))
+    present = [(hits, members) for hits, members in ((cm.tp, cm.tp + cm.fn), (cm.tn, cm.tn + cm.fp)) if members]
+    return (cm.tp + cm.tn) / cm.total, mean_rate(*zip(*present))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import atomic, classifier, codebook, fusion, metrics
 from .config import PipelineConfig, derive_seed, extract_hash, train_hash, train_labels_hash
-from .corpus import Manifest, filter_split
+from .corpus import Manifest, Polarity, filter_split
 from .descriptors import DescriptorSet, read_descriptors, write_descriptors
 from .prosody import extract_audio_descriptors, read_pcm
 from .video import extract_video_descriptors, read_frame_volume
@@ -230,8 +230,7 @@ def run_train(
             counts=counts,
         )
         X = np.stack([codebook.encode(book, dset).values for dset in sets])
-        solves: list[dict] = []
-        table = classifier.cv_accuracy_table(
+        table, solves = classifier.cv_accuracy_table(
             X,
             y,
             derive_seed(config.seed, "cv", modality),
@@ -239,7 +238,6 @@ def run_train(
             c_grid=classifier.c_grid(config.c_exponent_min, config.c_exponent_max),
             max_epochs=config.svm_max_epochs,
             tol=config.svm_tol,
-            solves=solves,
         )
         best_c = classifier.select_c(table)
         model = classifier.train_svm(X, y, best_c, max_epochs=config.svm_max_epochs, tol=config.svm_tol)
@@ -376,7 +374,7 @@ def run_evaluate(
     if len(filter_split(manifest, "train")):
         _check_stage(out_dir, "train", train_labels_hash(manifest), force, key="labels")
     truth_sentiment = np.array([segment.sentiment for segment in segments])
-    truth = truth_sentiment > 0  # strictly positive is positive, as in corpus.binarize
+    truth = np.array([segment.label() is Polarity.POSITIVE for segment in segments])
     if truth.all() or not truth.any():
         raise PipelineError(f"split {split!r} holds a single class; evaluation metrics need both")
 

@@ -10,6 +10,7 @@ feeds them ``FRAME_BLOCK`` frames at a time.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,20 @@ class ProsodyConfig:
     voicing_threshold: float = 0.45
     bins_per_octave: int = 48
 
+    def __post_init__(self):
+        rules = {
+            "every value finite": all(math.isfinite(value) for value in vars(self).values()),
+            "window >= hop > 0": self.window >= self.hop > 0,
+            "0 < f0_min < f0_max": 0 < self.f0_min < self.f0_max,
+            "n_harmonics >= 1": self.n_harmonics >= 1,
+            "bins_per_octave >= 1": self.bins_per_octave >= 1,
+            "compression > 0": self.compression > 0,
+            "0 <= voicing_threshold <= 1": 0 <= self.voicing_threshold <= 1,
+        }
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise ValueError(f"{self} breaks {'; '.join(broken)}")
+
 
 @dataclass(frozen=True, eq=False)
 class PcmSignal:
@@ -50,18 +65,16 @@ class PcmSignal:
             raise ValueError("sample_rate must be positive")
 
 
-def frame_signal(signal: PcmSignal, window: float, hop: float) -> np.ndarray:
-    """Slice a signal into Hann-weighted analysis blocks.
+def frame_signal(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> np.ndarray:
+    """Slice a signal into Hann-weighted analysis blocks of ``config``'s window and hop.
 
     Returns an (n_blocks, block_len) array with block_len = round(window * rate)
     and block spacing round(hop * rate). Raises if the signal is shorter than
     one window.
     """
-    if not (window >= hop > 0):
-        raise ValueError("require window >= hop > 0")
     rate = signal.sample_rate
-    block_len = int(round(window * rate))
-    hop_len = int(round(hop * rate))
+    block_len = int(round(config.window * rate))
+    hop_len = int(round(config.hop * rate))
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
@@ -102,8 +115,8 @@ def estimate_f0_shs(
     (...). Salience is the winning score; an all-zero block gives salience 0
     and the caller should treat the frame as unvoiced.
     """
-    if not (config.f0_min < config.f0_max < sample_rate / 2):
-        raise ValueError("require f0_min < f0_max < sample_rate / 2")
+    if not config.f0_max < sample_rate / 2:
+        raise ValueError(f"require f0_max < sample_rate / 2, got f0_max {config.f0_max} at rate {sample_rate}")
     block = np.asarray(block, dtype=np.float64)
     nfft = 1 << max(11, int(4 * block.shape[-1] - 1).bit_length())
     spectrum = np.abs(np.fft.rfft(block, nfft, axis=-1))
@@ -181,7 +194,7 @@ def loudness(block: np.ndarray, exponent: float = 0.3) -> np.ndarray:
 
 def extract_audio_descriptors(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> np.ndarray:
     """Extract the (n_frames, 3) descriptor matrix fed to codebook encoding."""
-    frames = frame_signal(signal, config.window, config.hop)
+    frames = frame_signal(signal, config)
     rows = np.empty((frames.shape[0], 3))
     for start in range(0, frames.shape[0], FRAME_BLOCK):
         block = frames[start : start + FRAME_BLOCK]

@@ -179,8 +179,8 @@ def test_criterion_5_svm_oracle_separable_and_deterministic_cv():
     yc = np.where(Xc[:, 0] + 0.4 * rng.standard_normal(60) > 0, 1.0, -1.0)
     if len(np.unique(yc)) < 2:
         yc[0] = -yc[0]
-    first = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250))
-    second = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250))
+    first = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250)[0])
+    second = select_c(cv_accuracy_table(Xc, yc, seed=3, max_epochs=250)[0])
     assert first == second
     elapsed = time.time() - start
     assert elapsed < 120.0

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bofsent import classifier
 from bofsent.classifier import (
     C_EXPONENT_MAX,
     C_EXPONENT_MIN,
@@ -159,7 +162,7 @@ class TestCrossValidation:
     def test_trivially_separable_ties_to_smallest(self):
         rng = np.random.default_rng(4)
         X, y = _separable_toy(rng, n_per_class=25, gap=6.0)
-        assert select_c(cv_accuracy_table(X, y, seed=0)) == 0.125
+        assert select_c(cv_accuracy_table(X, y, seed=0)[0]) == 0.125
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(5)
@@ -167,15 +170,15 @@ class TestCrossValidation:
         y = np.where(X[:, 0] + 0.3 * rng.standard_normal(60) > 0, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             y[0] = -y[0]
-        first = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150))
-        second = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150))
+        first = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150)[0])
+        second = select_c(cv_accuracy_table(X, y, seed=7, max_epochs=150)[0])
         assert first == second
 
     def test_selected_c_maximizes_table(self):
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (50, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        table = cv_accuracy_table(X, y, seed=3, max_epochs=150)
+        table, _ = cv_accuracy_table(X, y, seed=3, max_epochs=150)
         best = select_c(table)
         best_acc = dict(table)[best]
         assert best_acc == max(acc for _, acc in table)
@@ -184,6 +187,28 @@ class TestCrossValidation:
             if acc == best_acc:
                 assert C >= best
                 break
+
+    def test_exact_fold_tie_goes_to_smaller_c(self, monkeypatch):
+        # Two folds of 45: 41 + 45 correct at C = 1 and 43 + 43 at C = 2 are both
+        # 86/90, but float means of the fold accuracies read 0.9555555555555555
+        # and 0.9555555555555556, so they would pick C = 2.
+        X = np.arange(90.0)[:, None]
+        y = np.array([1.0] * 44 + [-1.0] * 46)
+        assert [fold.size for fold in stratified_folds(y, 2, seed=0)] == [45, 45]
+        wrong = iter([4, 0, 2, 2])  # per (C, fold), in table order
+
+        def scripted_distances(model, rows):
+            distances = y[rows[:, 0].astype(int)].copy()
+            distances[: next(wrong)] *= -1.0
+            return distances
+
+        solve = classifier.SvmSolve(iterations=1, gap=0.0, converged=True)
+        monkeypatch.setattr(classifier, "train_svm", lambda *args, **kwargs: SimpleNamespace(solve=solve))
+        monkeypatch.setattr(classifier, "decision_distances", scripted_distances)
+        table, solves = cv_accuracy_table(X, y, seed=0, n_folds=2, c_grid=(1.0, 2.0))
+        assert table == [(1.0, 86 / 90), (2.0, 86 / 90)]
+        assert select_c(table) == 1.0
+        assert [(record["C"], record["fold"]) for record in solves] == [(1.0, 0), (1.0, 1), (2.0, 0), (2.0, 1)]
 
     def test_select_c_ties_go_to_smaller_c(self):
         assert select_c([(4.0, 0.9), (0.5, 0.9), (1.0, 0.8)]) == 0.5

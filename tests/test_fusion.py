@@ -216,6 +216,40 @@ class TestGridSearchTheta:
             for theta in THETA_GRID:
                 assert chosen_error <= evaluate_theta(audio, video, truth, theta) + 1e-12
 
+    @staticmethod
+    def _tied_split(positives, negatives):
+        """25 positives and 25 negatives from {(video, audio): count} per class.
+
+        Each kind fuses to the same score at every weight: (1, 1) is positive
+        at any theta > 0, (0, 0) at none, and (0.5, 0.5) only above theta = 0.5.
+        """
+        rows = [(*scores, truth) for truth, kinds in ((P, positives), (N, negatives))
+                for scores, count in kinds.items() for _ in range(count)]
+        assert sum(1 for *_, truth in rows if truth) == sum(1 for *_, truth in rows if not truth) == 25
+        return _segments(rows)
+
+    def test_exact_tie_goes_to_equal_weight(self):
+        # theta = 0.5 leaves (fn 1, fp 5); every theta above it (fn 0, fp 6).
+        # Both are 6/50, but summed in floats the second reads 0.12 and the first
+        # 0.12000000000000001, so a float mean would pick 0.6 over the tied 0.5.
+        truth = np.array([P] * 25 + [N] * 25)
+        assert classification_error(truth, np.array([P] * 24 + [N] + [P] * 5 + [N] * 20)) == 0.12
+        assert classification_error(truth, np.array([P] * 25 + [P] * 6 + [N] * 19)) == 0.12
+        audio, video, truth = self._tied_split(
+            {(1.0, 1.0): 24, (0.5, 0.5): 1}, {(1.0, 1.0): 5, (0.5, 0.5): 1, (0.0, 0.0): 19}
+        )
+        chosen, errors = grid_search_theta(audio, video, truth)
+        assert dict(zip(THETA_CANDIDATES, errors)) == {0.0: 0.5, **{theta: 0.12 for theta in THETA_CANDIDATES[1:]}}
+        assert chosen == 0.5
+
+    def test_exact_tie_off_equal_weight_goes_to_larger(self):
+        # theta = 0.4 leaves (fn 2, fp 4) and theta = 0.6 (fn 1, fp 5): both 6/50,
+        # but float sums read 0.12 and 0.12000000000000001 and would pick 0.4.
+        audio, video, truth = self._tied_split(
+            {(1.0, 1.0): 23, (0.5, 0.5): 1, (0.0, 0.0): 1}, {(1.0, 1.0): 4, (0.5, 0.5): 1, (0.0, 0.0): 20}
+        )
+        assert grid_search_theta(audio, video, truth, (0.4, 0.6)) == (0.6, [0.12, 0.12])
+
     def test_requires_ground_truth(self):
         # a single labelled segment cannot cover both classes
         with pytest.raises(ValueError, match="ground truth"):

@@ -116,6 +116,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"gmm_max_iters": "5"}, "PipelineConfig.gmm_max_iters must be a JSON integer, not str '5'"),
+            ({"seed": 7.0}, "PipelineConfig.seed must be a JSON integer, not float 7.0"),
+            ({"gmm_tol": True}, "PipelineConfig.gmm_tol must be a JSON number, not bool True"),
+            ({"theta": [0.5]}, r"PipelineConfig.theta must be a JSON number, not list \[0.5\]"),
+            ({"fusion_mode": 1}, "PipelineConfig.fusion_mode must be a JSON string, not int 1"),
+            ({"video": {"max_points": True}}, "DetectorConfig.max_points must be a JSON integer, not bool True"),
+            ({"video": {"spatial_scales": ["1.2"]}}, r"DetectorConfig.spatial_scales\[0\] must be a JSON number"),
+            ({"video": {"temporal_scales": 2.0}}, "DetectorConfig.temporal_scales must be a JSON array, not float"),
+            ({"audio": {"n_harmonics": 2.0}}, "ProsodyConfig.n_harmonics must be a JSON integer, not float 2.0"),
+        ],
+        ids=["string-count", "float-seed", "bool-number", "list-number", "int-string", "bool-count", "string-scale",
+             "scalar-ladder", "float-count"],
+    )
+    def test_wrong_json_type_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(raw)
+
+    def test_json_integers_fill_number_fields(self):
+        config = config_from_dict({"theta": 1, "gmm_tol": 0, "video": {"spatial_scales": [1, 2.5]}})
+        assert (config.theta, config.gmm_tol, config.video.spatial_scales) == (1, 0, (1, 2.5))
+        assert config_from_dict({"theta": None}).theta is None
+
     def test_config_file_not_an_object_named(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")
@@ -617,6 +642,26 @@ class TestCli:
         config_path.write_text(json.dumps({"video": video}))
         out_dir = tmp_path / "o"
         code = cli.main(["extract", "--manifest", str(corpus_dir / "manifest.jsonl"), "--out-dir", str(out_dir),
+                         "--config", str(config_path)])
+        assert code == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"gmm_max_iters": "5"},
+            {"video": {"spatial_scales": ["1.2"]}},
+            {"video": {"max_points": True}},
+            {"audio": {"hop": 0}},
+            {"audio": {"n_harmonics": 0}},
+        ],
+        ids=["string-count", "string-scale", "bool-count", "zero-hop", "no-harmonics"],
+    )
+    def test_unusable_config_exits_two_before_extracting(self, corpus, tmp_path, raw):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "o"
+        code = cli.main(["extract", "--manifest", str(corpus.base_dir / "manifest.jsonl"), "--out-dir", str(out_dir),
                          "--config", str(config_path)])
         assert code == 2
         assert not out_dir.exists() or not any(out_dir.iterdir())

@@ -21,28 +21,61 @@ SR = 16000
 
 
 def _block(signal, index=0, window=0.05, hop=0.01):
-    return frame_signal(signal, window, hop)[index]
+    return frame_signal(signal, ProsodyConfig(window=window, hop=hop))[index]
 
 
 class TestFrameSignal:
     def test_block_count_one_second(self):
         sig = PcmSignal(samples=np.zeros(SR), sample_rate=SR)
-        blocks = frame_signal(sig, 0.05, 0.01)
+        blocks = frame_signal(sig)
         assert blocks.shape == (96, 800)
 
     def test_exactly_one_window(self):
         sig = PcmSignal(samples=np.ones(800), sample_rate=SR)
-        assert frame_signal(sig, 0.05, 0.01).shape[0] == 1
+        assert frame_signal(sig).shape[0] == 1
 
     def test_too_short(self):
         sig = PcmSignal(samples=np.zeros(160), sample_rate=SR)
         with pytest.raises(ValueError, match="shorter"):
-            frame_signal(sig, 0.05, 0.01)
+            frame_signal(sig)
 
     def test_hann_weighting(self):
         sig = PcmSignal(samples=np.ones(800), sample_rate=SR)
-        block = frame_signal(sig, 0.05, 0.01)[0]
+        block = frame_signal(sig)[0]
         assert np.allclose(block, np.hanning(800))
+
+
+class TestProsodyConfig:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"hop": 0.0}, "breaks window >= hop > 0$"),
+            ({"window": 0.005}, "breaks window >= hop > 0$"),
+            ({"f0_min": 0.0}, "breaks 0 < f0_min < f0_max$"),
+            ({"f0_min": 400.0}, "breaks 0 < f0_min < f0_max$"),
+            ({"n_harmonics": 0}, "breaks n_harmonics >= 1$"),
+            ({"bins_per_octave": 0}, "breaks bins_per_octave >= 1$"),
+            ({"compression": 0.0}, "breaks compression > 0$"),
+            ({"voicing_threshold": 1.5}, "breaks 0 <= voicing_threshold <= 1$"),
+            ({"voicing_threshold": -0.1}, "breaks 0 <= voicing_threshold <= 1$"),
+            ({"window": float("inf")}, "breaks every value finite$"),
+            ({"compression": float("nan")}, "breaks every value finite; compression > 0$"),
+        ],
+        ids=["zero-hop", "hop-past-window", "zero-f0-min", "empty-pitch-range", "no-harmonics", "no-bins",
+             "zero-compression", "threshold-above-one", "threshold-below-zero", "infinite-window", "nan-compression"],
+    )
+    def test_unusable_settings_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ProsodyConfig(**fields)
+
+    def test_range_edges_accepted(self):
+        ProsodyConfig(window=0.01, hop=0.01, n_harmonics=1, bins_per_octave=1, voicing_threshold=0.0)
+        ProsodyConfig(voicing_threshold=1.0)
+
+    def test_pitch_range_checked_against_the_sample_rate(self):
+        # The default f0_max of 400 Hz is at Nyquist for an 800 Hz signal.
+        with pytest.raises(ValueError, match="require f0_max < sample_rate / 2"):
+            estimate_f0_shs(np.ones((1, 40)), 800)
 
 
 class TestEstimateF0:
@@ -73,7 +106,7 @@ class TestEstimateF0:
         freq = 200.0
         period = SR / freq  # exactly 80 samples
         sig = tone(freq, 0.2)
-        base = frame_signal(sig, 0.05, 0.01)[0]
+        base = frame_signal(sig)[0]
         f_ref, _ = estimate_f0_shs(base, SR)
         for periods in (1, 2, 5):
             shift = int(periods * period)
@@ -175,7 +208,7 @@ class TestExtractProsody:
     def test_descriptor_layout(self):
         config = ProsodyConfig()
         signal = tone(200.0, 0.2)
-        blocks = frame_signal(signal, config.window, config.hop)
+        blocks = frame_signal(signal, config)
         rows = extract_audio_descriptors(signal, config)
         assert rows.shape == (len(blocks), 3)
         f0 = []

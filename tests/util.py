@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -519,11 +520,12 @@ def per_row_output_fuse(video: float, audio: float) -> tuple[float, bool]:
 
 
 def per_row_classification_error(truth: list[bool], pred: list[bool]) -> float:
+    """Mean of the two per-class error rates, as exact fractions rounded once."""
     per_class = []
     for cls in (True, False):
         members = [(t, p) for t, p in zip(truth, pred) if t is cls]
-        per_class.append(sum(1 for t, p in members if t is not p) / len(members))
-    return (per_class[0] + per_class[1]) / 2.0
+        per_class.append(Fraction(sum(1 for t, p in members if t is not p), len(members)))
+    return float((per_class[0] + per_class[1]) / 2)
 
 
 def per_row_grid_search(videos, audios, truth, candidates) -> tuple[float, dict[float, float]]:
@@ -557,7 +559,10 @@ def per_row_confusion(pred: list[bool], truth: list[bool]) -> ConfusionMatrix:
 
 
 def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_sentiment) -> MetricReport:
-    """The metric report from per-row counts; the float-vector metrics are shared with ``metrics``."""
+    """The metric report from per-row counts; the float-vector metrics are shared with ``metrics``.
+
+    The class-balanced accuracy is the mean of exact per-class fractions, rounded once.
+    """
     cm = per_row_confusion(pred, truth)
     scores = prf1(cm)
     flags = ["precision_recall_f1"] if scores.degenerate else []
@@ -570,7 +575,7 @@ def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_se
     for cls in (True, False):
         members = [(p, t) for p, t in zip(pred, truth) if t is cls]
         if members:
-            recalls.append(sum(1 for p, t in members if p is t) / len(members))
+            recalls.append(Fraction(sum(1 for p, t in members if p is t), len(members)))
     return MetricReport(
         precision=scores.precision,
         recall=scores.recall,
@@ -578,7 +583,7 @@ def per_row_report(pred: list[bool], truth: list[bool], pred_sentiment, truth_se
         mae=mae(pred_sentiment, truth_sentiment),
         correlation=correlation,
         binary_accuracy=sum(1 for p, t in zip(pred, truth) if p is t) / len(pred),
-        weighted_binary_accuracy=float(np.mean(recalls)),
+        weighted_binary_accuracy=float(sum(recalls) / len(recalls)),
         acc5=multiclass_accuracy(pred_sentiment, truth_sentiment, 5),
         acc7=multiclass_accuracy(pred_sentiment, truth_sentiment, 7),
         confusion=cm,

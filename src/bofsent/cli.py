@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import fusion, pipeline
 from .config import PipelineConfig, dump_config, extract_hash, load_config, train_hash
-from .corpus import SPLITS, ManifestError, load_manifest
+from .corpus import SPLITS, Manifest, ManifestError, load_manifest
 from .synth import SynthConfig, generate_corpus
 
 logger = logging.getLogger(__name__)
@@ -29,32 +29,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--manifest", required=True, help="manifest file (one JSON record per line)")
-        p.add_argument("--out-dir", required=True, help="artifact directory")
-        p.add_argument("--config", help="JSON config file; omitted fields keep defaults")
-        p.add_argument("--seed", type=int, help="override the root seed")
-        p.add_argument("--force", action="store_true", help="ignore configuration-hash mismatches")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest", required=True, help="manifest file (one JSON record per line)")
+    common.add_argument("--out-dir", required=True, help="artifact directory")
+    common.add_argument("--config", help="JSON config file; omitted fields keep defaults")
+    common.add_argument("--seed", type=int, help="override the root seed")
+    common.add_argument("--force", action="store_true", help="ignore configuration-hash mismatches")
+    fusing = argparse.ArgumentParser(add_help=False)
+    fusing.add_argument("--fusion", choices=fusion.MODES, help="fusion mode override")
+    fusing.add_argument("--theta", type=float, help="fixed score-fusion weight in [0, 1]")
 
-    p = sub.add_parser("extract", help="extract low-level descriptors per segment")
-    common(p)
+    p = sub.add_parser("extract", parents=[common], help="extract low-level descriptors per segment")
     p.add_argument("--modality", choices=(*pipeline.MODALITIES, "both"), default="both")
     p.add_argument("--workers", type=int, default=1, help="parallel extraction workers")
-
-    p = sub.add_parser("train", help="fit codebooks and SVMs from the training split")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="score a split, fuse, and report metrics")
-    common(p)
+    sub.add_parser("train", parents=[common], help="fit codebooks and SVMs from the training split")
+    p = sub.add_parser("evaluate", parents=[common, fusing], help="score a split, fuse, and report metrics")
     p.add_argument("--split", default="validation", choices=SPLITS)
-    p.add_argument("--fusion", choices=fusion.MODES, help="fusion mode override")
-    p.add_argument("--theta", type=float, help="fixed score-fusion weight in [0, 1]")
-
-    p = sub.add_parser("predict", help="emit fused predictions without ground truth")
-    common(p)
+    p = sub.add_parser("predict", parents=[common, fusing], help="emit fused predictions without ground truth")
     p.add_argument("--split", choices=SPLITS, help="restrict to one split")
-    p.add_argument("--fusion", choices=fusion.MODES, help="fusion mode override")
-    p.add_argument("--theta", type=float, help="fixed score-fusion weight in [0, 1]")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with a manifest")
     p.add_argument("--out-dir", required=True)
@@ -69,16 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pipeline_config(args) -> PipelineConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
-def _cmd_extract(args) -> int:
-    config = _load_pipeline_config(args)
-    manifest = load_manifest(args.manifest)
+def _cmd_extract(args, manifest: Manifest, config: PipelineConfig) -> int:
     modalities = pipeline.MODALITIES if args.modality == "both" else (args.modality,)
     result = pipeline.run_extract(
         manifest, config, args.out_dir, modalities=modalities, workers=args.workers, force=args.force
@@ -94,18 +77,14 @@ def _cmd_extract(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_train(args) -> int:
-    config = _load_pipeline_config(args)
-    manifest = load_manifest(args.manifest)
+def _cmd_train(args, manifest: Manifest, config: PipelineConfig) -> int:
     selected_c = pipeline.run_train(manifest, config, args.out_dir, force=args.force)
     for modality, c in sorted(selected_c.items()):
         logger.info("train: %s model ready (C=%g)", modality, c)
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_pipeline_config(args)
-    manifest = load_manifest(args.manifest)
+def _cmd_evaluate(args, manifest: Manifest, config: PipelineConfig) -> int:
     result = pipeline.run_evaluate(
         manifest,
         args.split,
@@ -124,9 +103,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    config = _load_pipeline_config(args)
-    manifest = load_manifest(args.manifest)
+def _cmd_predict(args, manifest: Manifest, config: PipelineConfig) -> int:
     path = pipeline.run_predict(
         manifest,
         config,
@@ -173,14 +150,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "extract": _cmd_extract,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "synth": _cmd_synth,
-    "report": _cmd_report,
-}
+# Commands that run a pipeline stage over a manifest under a config, and the others.
+_STAGES = {"extract": _cmd_extract, "train": _cmd_train, "evaluate": _cmd_evaluate, "predict": _cmd_predict}
+_TOOLS = {"synth": _cmd_synth, "report": _cmd_report}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -191,7 +163,12 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        if args.command in _TOOLS:
+            return _TOOLS[args.command](args)
+        config = load_config(args.config) if args.config else PipelineConfig()
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        return _STAGES[args.command](args, load_manifest(args.manifest), config)
     except (ManifestError, pipeline.PipelineError, ValueError, OSError) as exc:
         logger.error("%s", exc)
         return 2

@@ -209,22 +209,6 @@ def _block_posteriors(
     return feats, post, counts * (peak[:, 0] + np.log(total[:, 0]))
 
 
-def loglik(codebook: GmmCodebook, data: np.ndarray, counts: np.ndarray | None = None) -> float:
-    """Total log-likelihood of the rows under the mixture (log-sum-exp, no underflow).
-
-    Each row counts ``counts[i]`` times (once when ``counts`` is omitted), as
-    for a class that ``sample_balanced`` drew with replacement.
-    """
-    data = _as_matrix(data, codebook.dim)
-    counts = _row_counts(counts, data.shape[0])
-    terms = _joint_terms(codebook)
-    norms = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], BLOCK):
-        block = slice(start, start + BLOCK)
-        norms[block] = _block_posteriors(data[block], *terms, counts[block])[2]
-    return float(norms.sum())
-
-
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
@@ -460,7 +444,9 @@ def fit_gmm(
     below ``tol``; each restart is logged at INFO, and so is the kept one,
     unless it stopped on ``max_iters``, which is logged at WARNING. The
     variance floor is ``variance_floor_scale * mean(per-dimension data
-    variance)``. Identical seeds and data give bit-identical codebooks.
+    variance)``. Identical seeds and data give bit-identical codebooks. No
+    restart with a finite log-likelihood, as under a NaN or infinite floor,
+    raises ``ValueError``.
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
@@ -498,6 +484,8 @@ def fit_gmm(
         )
         if ll > best_ll:
             best, best_ll, best_restart, best_stop = codebook, ll, restart, stop
+    if best is None:
+        raise ValueError(f"no restart reached a finite log-likelihood (variance floor {variance_floor})")
     kept = "%s codebook: kept restart %d/%d (log-likelihood %.6f)"
     if best_stop == "max_iters":
         logger.warning(
@@ -506,7 +494,6 @@ def fit_gmm(
         )
     else:
         logger.info(kept, modality, best_restart + 1, n_init, best_ll)
-    assert best is not None
     return best
 
 

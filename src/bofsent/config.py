@@ -4,12 +4,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import typing
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classifier, fusion
-from .corpus import Manifest, filter_split
+from .corpus import Manifest, filter_split, from_json
 from .prosody import ProsodyConfig
 from .video import DetectorConfig
 
@@ -52,52 +52,25 @@ class PipelineConfig:
             raise ValueError(f"cv_folds {self.cv_folds} must be at least 2")
         if self.c_exponent_min > self.c_exponent_max:
             raise ValueError(f"c_exponent_min {self.c_exponent_min} exceeds c_exponent_max {self.c_exponent_max}")
+        if self.c_exponent_min < -1074 or self.c_exponent_max > 1023:  # so every 2^e is a positive finite float
+            raise ValueError(f"C exponents [{self.c_exponent_min}, {self.c_exponent_max}] outside [-1074, 1023]")
+        if not 0.0 < self.variance_floor_scale < math.inf:
+            raise ValueError(f"variance_floor_scale {self.variance_floor_scale} must be finite and above 0")
         if self.fusion_mode not in fusion.MODES:
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r} (expected one of {fusion.MODES})")
         if self.theta is not None:
             fusion.check_theta(self.theta)
-        if not 0.0 < self.theta_grid_step <= 1.0:
-            raise ValueError(f"theta_grid_step {self.theta_grid_step} outside (0, 1]")
+        if not 0.001 <= self.theta_grid_step <= 1.0:
+            raise ValueError(f"theta_grid_step {self.theta_grid_step} outside [0.001, 1]")
 
 
 # Read only when fusing scores, so changing them never invalidates trained models.
 _FUSION_FIELDS = ("fusion_mode", "theta", "theta_grid_step")
 
 
-# The parsed JSON values each scalar field type takes: JSON true and false are never numbers.
-_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
-
-
-def _from_json(name: str, hint, value):
-    """``value``, parsed from JSON, as the field type ``hint``: config classes from objects, tuples from arrays.
-
-    A value whose JSON type does not fit its field, or an object naming an
-    unknown field, raises ``ValueError``.
-    """
-    if dataclasses.is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise ValueError(f"{hint.__name__} must be a JSON object, not {type(value).__name__}")
-        hints = typing.get_type_hints(hint)
-        unknown = set(value) - set(hints)
-        if unknown:
-            raise ValueError(f"unknown {hint.__name__} fields {sorted(unknown)}")
-        return hint(**{key: _from_json(f"{hint.__name__}.{key}", hints[key], item) for key, item in value.items()})
-    args = typing.get_args(hint)  # (float, ...) of tuple[float, ...]; (float, NoneType) of float | None
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{name} must be a JSON array, not {type(value).__name__} {value!r}")
-        return tuple(_from_json(f"{name}[{index}]", args[0], item) for index, item in enumerate(value))
-    if value is None and type(None) in args:
-        return value
-    accepted, json_name = _JSON_TYPES[args[0] if args else hint]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name} must be a JSON {json_name}, not {type(value).__name__} {value!r}")
-    return value
-
-
 def config_from_dict(raw: dict) -> PipelineConfig:
     """A config from parsed JSON; omitted fields keep their defaults and unknown ones raise ``ValueError``."""
-    return _from_json("config", PipelineConfig, raw)
+    return from_json("config", PipelineConfig, raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

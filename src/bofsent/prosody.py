@@ -40,7 +40,8 @@ class ProsodyConfig:
 
     def __post_init__(self):
         rules = {
-            "every value finite": all(math.isfinite(value) for value in vars(self).values()),
+            # A comparison, not math.isfinite, which overflows on a huge integer count.
+            "every value finite": all(-math.inf < value < math.inf for value in vars(self).values()),
             "window >= hop > 0": self.window >= self.hop > 0,
             "0 < f0_min < f0_max": 0 < self.f0_min < self.f0_max,
             "n_harmonics >= 1": self.n_harmonics >= 1,

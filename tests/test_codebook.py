@@ -20,7 +20,6 @@ from bofsent.codebook import (
     em_step,
     fit_gmm,
     initialize_codebook,
-    loglik,
     read_codebook,
     sample_balanced,
     write_codebook,
@@ -248,6 +247,14 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="degenerate|distinct"):
             fit_gmm(np.ones((50, 2)), 2, seed=0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_floor_scale_raises_value_error(self, scale):
+        # Every restart's log-likelihood is NaN, so none is kept.
+        data = np.random.default_rng(0).normal(size=(200, 2))
+        with pytest.raises(ValueError, match="no restart reached a finite log-likelihood"):
+            fit_gmm(data, 2, seed=0, variance_floor_scale=scale)
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -348,7 +355,7 @@ class TestBlocks:
         rows = _mixture_rows(rng, book, n).astype(np.float32)
         joint = unblocked_log_joint(book.weights, book.means, book.variances, rows.astype(np.float64))
         expected_ll = float(unblocked_logsumexp_rows(joint).sum())
-        assert loglik(book, rows) == pytest.approx(expected_ll, rel=1e-12, abs=0)
+        assert em_step(book, rows, 1e-3)[1] == pytest.approx(expected_ll, rel=1e-12, abs=0)
         pooled = encode(book, DescriptorSet("s", rows)).values
         expected = unblocked_encode(book.weights, book.means, book.variances, rows)
         np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=0)
@@ -501,7 +508,6 @@ class TestWeighted:
             _close(getattr(updated, name), getattr(expected, name))
         expected_ll = pytest.approx(expected_ll, rel=WEIGHTED_RTOL, abs=WEIGHTED_RTOL * len(repeated))
         assert ll == expected_ll
-        assert loglik(book, rows, counts) == expected_ll
         _close(_column_variance(rows, counts), repeated.var(axis=0))
 
     @settings(max_examples=40, deadline=None)
@@ -525,7 +531,6 @@ class TestWeighted:
         book = _random_codebook(rng, k=5, dim=dim)
         (stepped, ll), (expected, expected_ll) = em_step(book, rows, 1e-3, ones), em_step(book, rows, 1e-3)
         assert ll == expected_ll
-        assert loglik(book, rows, ones) == loglik(book, rows)
         _same_bits(_column_variance(rows, ones), rows.var(axis=0))
         k = min(k, n)
         seeded = _kmeans_plus_plus(rows, k, np.random.default_rng(seed), ones)
@@ -571,17 +576,19 @@ def test_empty_cluster_takes_floored_column_variance(monkeypatch):
 
 
 class TestLoglik:
+    """The log-likelihood ``em_step`` returns, under the incoming parameters."""
+
     def test_unit_gaussian_at_mean(self):
         book = GmmCodebook(
             weights=np.array([1.0]), means=np.array([[0.0]]), variances=np.array([[1.0]]), modality="audio"
         )
-        assert loglik(book, np.array([[0.0]])) == pytest.approx(-0.5 * np.log(2 * np.pi))
+        assert em_step(book, np.array([[0.0]]), 1.0)[1] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_always_finite(self):
         rng = np.random.default_rng(6)
         book = _random_codebook(rng)
         extreme = np.array([[1e6, -1e6, 1e6], [0.0, 0.0, 0.0]])
-        assert np.isfinite(loglik(book, extreme))
+        assert np.isfinite(em_step(book, extreme, 1e-3)[1])
 
     def test_matches_direct_density_oracle(self):
         rng = np.random.default_rng(8)
@@ -589,13 +596,13 @@ class TestLoglik:
             book = _random_codebook(rng, k=int(rng.integers(1, 5)), dim=int(rng.integers(1, 4)))
             data = rng.normal(0, 2, (12, book.dim))
             expected = direct_loglik(book.weights, book.means, book.variances, data)
-            assert loglik(book, data) == pytest.approx(expected, abs=1e-9)
+            assert em_step(book, data, 1e-3)[1] == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         book = _random_codebook(rng, dim=3)
         with pytest.raises(ValueError, match="dimension"):
-            loglik(book, np.zeros((5, 2)))
+            em_step(book, np.zeros((5, 2)), 1e-3)
 
 
 class TestEncode:

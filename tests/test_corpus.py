@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bofsent.config import PipelineConfig, config_from_dict, dump_config
 from bofsent.corpus import (
     Manifest,
     ManifestError,
@@ -14,6 +18,8 @@ from bofsent.corpus import (
     load_manifest,
     save_manifest,
 )
+from bofsent.prosody import ProsodyConfig
+from bofsent.video import DetectorConfig
 
 
 def _ids(manifest):
@@ -105,7 +111,7 @@ class TestLoadManifest:
     def test_boolean_sentiment_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "audio": "a", "video": "a", "sentiment": true, "split": "train"}\n')
-        with pytest.raises(ManifestError, match="line 1: sentiment True is not a number"):
+        with pytest.raises(ManifestError, match="line 1: Segment.sentiment must be a JSON number, not bool True"):
             load_manifest(path)
 
     @pytest.mark.parametrize("sentiment", ["1.5", "nan", None, [1.0]])
@@ -113,7 +119,8 @@ class TestLoadManifest:
         path = tmp_path / "m.jsonl"
         record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
         path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", "sentiment": sentiment}) + "\n")
-        with pytest.raises(ManifestError, match=re.escape(f"line 2: sentiment {sentiment!r} is not a number")):
+        message = f"line 2: Segment.sentiment must be a JSON number, not {type(sentiment).__name__} {sentiment!r}"
+        with pytest.raises(ManifestError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize("sample_rate", [True, False, 0, -8000, 16000.0, "16000"])
@@ -122,7 +129,7 @@ class TestLoadManifest:
         record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
         bad = {**record, "id": "b", "sample_rate": sample_rate}
         path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(ManifestError, match="line 2: sample_rate must be a positive integer"):
+        with pytest.raises(ManifestError, match=rf"line 2: (Segment\.)?sample_rate .*{re.escape(repr(sample_rate))}"):
             load_manifest(path)
 
     @pytest.mark.parametrize("field", ["audio", "video"])
@@ -131,7 +138,7 @@ class TestLoadManifest:
         path = tmp_path / "m.jsonl"
         record = {"id": "a", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}
         path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", field: value}) + "\n")
-        with pytest.raises(ManifestError, match=f"line 2: '{field}' must be a non-empty string"):
+        with pytest.raises(ManifestError, match=rf"line 2: (Segment\.)?{field} .*{re.escape(repr(value))}"):
             load_manifest(path)
 
     def test_roundtrip(self, tmp_path):
@@ -152,6 +159,43 @@ class TestLoadManifest:
         assert loaded.segments == original.segments
         assert again.segments == loaded.segments
         assert first.read_text() == second.read_text()
+
+
+RECORD = {"id": "a", "audio": "a.pcm", "video": "a.fvl", "sentiment": 0.5, "split": "train"}
+# (input, field): "manifest" is one manifest record, "config" the top level of a config, "audio"/"video" its sections.
+FIELDS = [("manifest", key) for key in (*RECORD, "sample_rate")] + [
+    (section, f.name)
+    for section, cls in (("config", PipelineConfig), ("audio", ProsodyConfig), ("video", DetectorConfig))
+    for f in dataclasses.fields(cls)
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FIELDS), value=JSON_VALUES)
+@example(target=("manifest", "sentiment"), value=10**401)
+@example(target=("audio", "n_harmonics"), value=10**400)
+def test_any_json_value_in_any_field_is_read_or_rejected(tmp_path_factory, target, value):
+    """One reader builds both inputs: any JSON value gives a valid object or ``ValueError``, never another error."""
+    section, key = target
+    if section == "manifest":
+        path = tmp_path_factory.getbasetemp() / "any_value.jsonl"
+        path.write_text(json.dumps({**RECORD, key: value}) + "\n")
+        try:
+            manifest = load_manifest(path)
+        except ManifestError:
+            return
+        assert len(manifest) == 1 and type(manifest.segments[0].sentiment) is float
+        return
+    try:
+        config = config_from_dict({key: value} if section == "config" else {section: {key: value}})
+    except ValueError:
+        return
+    assert dump_config(config_from_dict(json.loads(dump_config(config)))) == dump_config(config)
 
 
 class TestFilterSplit:

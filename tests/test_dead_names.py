@@ -8,9 +8,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The reference log-likelihood the EM tests check each step against.
-EXEMPT = {("codebook", "loglik")}
-
 
 def _defines(tree: ast.Module):
     for node in tree.body:
@@ -49,7 +46,7 @@ def test_public_names_are_used_outside_their_definition():
             continue
         elsewhere = set().union(*(names for other, names in everywhere.items() if other != path))
         for node in _defines(tree):
-            if node.name.startswith("_") or (path.stem, node.name) in EXEMPT:
+            if node.name.startswith("_"):
                 continue
             if node.name not in elsewhere | _names(tree, skip=node):
                 unused.append(f"{path.stem}.{node.name}")

@@ -92,12 +92,26 @@ class TestConfig:
             ({"cv_folds": 0}, "cv_folds 0 must be at least 2"),
             ({"cv_folds": 1}, "cv_folds 1 must be at least 2"),
             ({"c_exponent_min": 3, "c_exponent_max": 2}, "c_exponent_min 3 exceeds c_exponent_max 2"),
+            ({"c_exponent_max": 1024}, r"C exponents \[-3, 1024\] outside \[-1074, 1023\]"),
+            ({"c_exponent_min": -1075}, r"C exponents \[-1075, 15\] outside \[-1074, 1023\]"),
+            ({"variance_floor_scale": float("nan")}, "variance_floor_scale nan must be finite and above 0"),
+            ({"variance_floor_scale": float("inf")}, "variance_floor_scale inf must be finite and above 0"),
+            ({"variance_floor_scale": 0}, "variance_floor_scale 0.0 must be finite and above 0"),
+            ({"variance_floor_scale": -1}, "variance_floor_scale -1.0 must be finite and above 0"),
+            ({"theta_grid_step": 0.0009}, r"theta_grid_step 0.0009 outside \[0.001, 1\]"),
         ],
-        ids=["no-em-iterations", "no-folds", "one-fold", "empty-c-grid"],
+        ids=["no-em-iterations", "no-folds", "one-fold", "empty-c-grid", "overflowing-c", "zero-c", "nan-floor",
+             "infinite-floor", "zero-floor", "negative-floor", "tiny-theta-step"],
     )
     def test_unusable_training_settings_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
             config_from_dict(fields)
+
+    def test_extreme_usable_settings_accepted(self):
+        config = config_from_dict({"c_exponent_min": -1074, "c_exponent_max": 1023, "theta_grid_step": 0.001})
+        grid = classifier.c_grid(config.c_exponent_min, config.c_exponent_max)
+        assert grid[0] > 0.0 and np.isfinite(grid[-1])
+        assert len(fusion.theta_candidates(config.theta_grid_step)) == 1001
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -139,7 +153,17 @@ class TestConfig:
     def test_json_integers_fill_number_fields(self):
         config = config_from_dict({"theta": 1, "gmm_tol": 0, "video": {"spatial_scales": [1, 2.5]}})
         assert (config.theta, config.gmm_tol, config.video.spatial_scales) == (1, 0, (1, 2.5))
+        assert {type(value) for value in (config.theta, config.gmm_tol, *config.video.spatial_scales)} == {float}
         assert config_from_dict({"theta": None}).theta is None
+
+    def test_json_integer_in_number_field_keeps_the_hashes(self):
+        # JSON has one number type: a config restating a default as an integer is the default config.
+        assert extract_hash(config_from_dict({"audio": {"f0_max": 400}})) == extract_hash(PipelineConfig())
+        assert train_hash(config_from_dict({"gmm_tol": 0})) == train_hash(config_from_dict({"gmm_tol": 0.0}))
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValueError, match="PipelineConfig.gmm_tol must be a number a float can hold"):
+            config_from_dict({"gmm_tol": 10**400})
 
     def test_config_file_not_an_object_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -654,8 +678,15 @@ class TestCli:
             {"video": {"max_points": True}},
             {"audio": {"hop": 0}},
             {"audio": {"n_harmonics": 0}},
+            {"variance_floor_scale": float("nan")},
+            {"variance_floor_scale": float("inf")},
+            {"variance_floor_scale": 0},
+            {"variance_floor_scale": -1},
+            {"c_exponent_max": 2000},
+            {"theta_grid_step": 1e-4},
         ],
-        ids=["string-count", "string-scale", "bool-count", "zero-hop", "no-harmonics"],
+        ids=["string-count", "string-scale", "bool-count", "zero-hop", "no-harmonics", "nan-floor", "infinite-floor",
+             "zero-floor", "negative-floor", "overflowing-c", "tiny-theta-step"],
     )
     def test_unusable_config_exits_two_before_extracting(self, corpus, tmp_path, raw):
         config_path = tmp_path / "config.json"

@@ -52,8 +52,8 @@ class Segment:
     sample_rate: int | None = None
 
     def __post_init__(self):
-        if self.id in ("", ".", "..") or any(char in self.id for char in _ID_FORBIDDEN):
-            raise ValueError(f"id {self.id!r} must not be '', '.' or '..' or hold '/', '\\', NUL, tab, CR or LF")
+        if self.id in ("", ".", "..") or any(char in _ID_FORBIDDEN or "\ud800" <= char <= "\udfff" for char in self.id):
+            raise ValueError(f"id {self.id!r} is '', '.' or '..' or holds '/', '\\', NUL, tab, CR, LF or a surrogate")
         for key, path in (("audio", self.audio_path), ("video", self.video_path)):
             if not path:
                 raise ValueError(f"{key} path {path!r} is empty")

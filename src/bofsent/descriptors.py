@@ -10,16 +10,19 @@ import numpy as np
 from .atomic import atomic_open
 
 DESCRIPTOR_MAGIC = b"DSC1"
-DESCRIPTOR_VERSION = 1
-_HEADER = struct.Struct("<4sIIQ")
+DESCRIPTOR_VERSION = 2
+# magic, version, dim, count, extract hash, media SHA-256, id length; then the UTF-8 id and the float32 rows
+_HEADER = struct.Struct("<4sIIQ8s32sI")
 
 
 @dataclass(eq=False)
 class DescriptorSet:
-    """Variable-length collection of fixed-dimension descriptors for one segment."""
+    """Variable-length collection of fixed-dimension descriptors for one segment, with where they came from."""
 
     segment_id: str
     descriptors: np.ndarray  # (count, dim) float32
+    extract_hash: str = "0" * 16  # config.extract_hash the rows were extracted under; zeros when unknown
+    media_digest: str = "0" * 64  # SHA-256 of the media bytes they were extracted from; zeros when unknown
 
     def __post_init__(self):
         arr = np.asarray(self.descriptors, dtype=np.float32)
@@ -27,6 +30,8 @@ class DescriptorSet:
             raise ValueError("descriptors must be a 2-D array")
         if arr.size and not np.isfinite(arr).all():
             raise ValueError("descriptors must be finite")
+        if len(bytes.fromhex(self.extract_hash)) != 8 or len(bytes.fromhex(self.media_digest)) != 32:
+            raise ValueError("extract_hash must be 16 hex digits and media_digest 64")
         self.descriptors = arr
 
     @property
@@ -39,8 +44,8 @@ class DescriptorSet:
 
 def _write_payload(fh, dset: DescriptorSet) -> None:
     seg_id = dset.segment_id.encode("utf-8")
-    fh.write(_HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.dim, len(dset)))
-    fh.write(struct.pack("<I", len(seg_id)))
+    provenance = bytes.fromhex(dset.extract_hash), bytes.fromhex(dset.media_digest)
+    fh.write(_HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.dim, len(dset), *provenance, len(seg_id)))
     fh.write(seg_id)
     fh.write(np.ascontiguousarray(dset.descriptors, dtype="<f4").tobytes())
 
@@ -55,18 +60,14 @@ def read_descriptors(path: str | Path) -> DescriptorSet:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size or data[:4] != DESCRIPTOR_MAGIC:
         raise ValueError(f"{path}: not a descriptor file")
-    _, version, dim, count = _HEADER.unpack_from(data)
+    _, version, dim, count, extract_hash, media_digest, id_len = _HEADER.unpack_from(data)
     if version != DESCRIPTOR_VERSION:
         raise ValueError(f"{path}: unsupported descriptor version {version}")
     if dim == 0:
         raise ValueError(f"{path}: descriptor dimension is 0")
-    offset = _HEADER.size + 4
-    if len(data) < offset:
-        raise ValueError(f"{path}: truncated descriptor header")
-    (id_len,) = struct.unpack_from("<I", data, _HEADER.size)
-    expected = offset + id_len + 4 * count * dim
+    expected = _HEADER.size + id_len + 4 * count * dim
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(data)}")
-    seg_id = data[offset : offset + id_len].decode("utf-8")
-    arr = np.frombuffer(data[offset + id_len :], dtype="<f4").reshape(count, dim).copy()
-    return DescriptorSet(segment_id=seg_id, descriptors=arr)
+    seg_id = data[_HEADER.size : _HEADER.size + id_len].decode("utf-8")
+    arr = np.frombuffer(data[_HEADER.size + id_len :], dtype="<f4").reshape(count, dim).copy()
+    return DescriptorSet(seg_id, arr, extract_hash.hex(), media_digest.hex())

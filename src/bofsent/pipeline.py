@@ -1,14 +1,16 @@
 """Stage runner: extraction, training, evaluation and prediction over a corpus.
 
-Stages hand data to each other through files under one output directory and
-record the configuration hash that produced each stage (each modality, for
-extraction) in ``artifacts.json``, refusing to consume artifacts built under a
-different configuration unless forced. Given the same inputs, configuration
-and seed, every stage writes byte-identical artifacts regardless of worker
-count.
+Stages hand data to each other through files under one output directory.
+Each descriptor file's header records the extract hash and the media digest it
+was made from, and ``train`` records its configuration hash in
+``artifacts.json``; later stages refuse artifacts built under a different
+configuration unless forced. Given the same inputs, configuration and seed,
+every stage writes byte-identical artifacts regardless of worker count.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -80,15 +82,23 @@ class ExtractResult:
         return not self.failures
 
 
-def _extract_one(manifest: Manifest, segment, modality: str, config: PipelineConfig, dst: Path) -> None:
+def _is_fresh(dst: Path, segment_id: str, current: str, media: Path) -> bool:
+    """Whether ``dst`` reads and its header holds ``segment_id``, extract hash ``current`` and ``media``'s SHA-256."""
+    with contextlib.suppress(OSError, ValueError):
+        old = read_descriptors(dst)
+        digest = hashlib.sha256(media.read_bytes()).hexdigest()
+        return (old.segment_id, old.extract_hash, old.media_digest) == (segment_id, current, digest)
+    return False
+
+
+def _extract_one(segment, modality: str, config: PipelineConfig, current: str, media: Path, dst: Path) -> None:
+    digest = hashlib.sha256(media.read_bytes()).hexdigest()  # read before the rows: a change meanwhile reads as stale
     if modality == "audio":
-        signal = read_pcm(manifest.resolve(segment.audio_path), segment.sample_rate)
-        rows = extract_audio_descriptors(signal, config.audio)
+        rows = extract_audio_descriptors(read_pcm(media, segment.sample_rate), config.audio)
     else:
-        volume = read_frame_volume(manifest.resolve(segment.video_path))
-        rows = extract_video_descriptors(volume, config.video)
+        rows = extract_video_descriptors(read_frame_volume(media), config.video)
     dst.parent.mkdir(parents=True, exist_ok=True)
-    write_descriptors(dst, DescriptorSet(segment_id=segment.id, descriptors=rows))
+    write_descriptors(dst, DescriptorSet(segment.id, rows, current, digest))
 
 
 def run_extract(
@@ -101,10 +111,9 @@ def run_extract(
 ) -> ExtractResult:
     """Extract descriptors for every manifest segment, one file per (segment, modality).
 
-    Each modality records the extraction hash it last ran under, and only
-    outputs that already exist under the current hash of their own modality
-    are skipped; per-segment failures are logged and collected while the rest
-    of the run continues.
+    Unless forced, a job is skipped when its file reads and its header holds the
+    current extract hash and its media's SHA-256 (``_is_fresh``); per-segment
+    failures are logged and collected while the rest of the run continues.
     """
     out_dir = Path(out_dir)
     if workers < 1:
@@ -112,25 +121,22 @@ def run_extract(
     for modality in modalities:
         if modality not in MODALITIES:
             raise ValueError(f"unknown modality {modality!r}")
-    state = load_state(out_dir)
-    current_hash = extract_hash(config)
-    records = {m: record for m, record in state.get("extract", {}).items() if m in MODALITIES}
-
+    current = extract_hash(config)
     jobs = []
     result = ExtractResult()
     for modality in modalities:
-        fresh = records.get(modality, {}).get("hash") == current_hash
         for segment in manifest:
+            media = manifest.resolve(segment.audio_path if modality == "audio" else segment.video_path)
             dst = descriptor_path(out_dir, modality, segment.id)
-            if fresh and not force and dst.exists():
+            if not force and _is_fresh(dst, segment.id, current, media):
                 result.skipped.append(f"{modality}:{segment.id}")
                 continue
-            jobs.append((segment, modality, dst))
+            jobs.append((segment, modality, media, dst))
 
     def run_job(job) -> tuple[str, str | None]:
-        segment, modality, dst = job
+        segment, modality, media, dst = job
         try:
-            _extract_one(manifest, segment, modality, config, dst)
+            _extract_one(segment, modality, config, current, media, dst)
         except Exception as exc:  # noqa: BLE001 - per-segment isolation is the contract
             logger.error("extraction failed for %s/%s: %s", modality, segment.id, exc)
             return f"{modality}:{segment.id}", str(exc)
@@ -143,9 +149,6 @@ def run_extract(
                 result.extracted.append(key)
             else:
                 result.failures[key] = error
-
-    state["extract"] = {**records, **{m: {"hash": current_hash, "seed": config.seed} for m in modalities}}
-    _write_json(out_dir / "artifacts.json", state)
     result.extracted.sort()
     return result
 
@@ -154,28 +157,26 @@ def run_extract(
 # shared loading helpers
 
 
-def _check_stage(out_dir: Path, stage: str, current: str, force: bool, key: str = "hash") -> None:
-    """Raise unless ``stage``'s record holds ``current`` under ``key``, if it holds ``key``; a forced mismatch only warns.
-
-    ``stage`` is ``train``, or ``extract/<modality>`` for one modality's extraction record.
-    """
-    command, _, modality = stage.partition("/")
-    record = load_state(out_dir).get(command)
-    if modality and record is not None:
-        record = record.get(modality)
-    if record is None:
-        raise PipelineError(f"{out_dir}: no {stage} artifacts recorded; run {command} first")
-    recorded = record.get(key, current)
+def _refuse_stale(stage: str, key: str, recorded: str, current: str, force: bool) -> None:
+    """Raise ``StaleArtifactsError`` unless ``recorded`` is ``current``; a forced mismatch only warns."""
     if recorded != current:
         problem = f"{stage} artifacts are stale: recorded {key} {recorded}, current {current}"
         if not force:
-            raise StaleArtifactsError(f"{problem}; re-run {command} or pass force")
+            raise StaleArtifactsError(f"{problem}; re-run {stage.split('/')[0]} or pass force")
         logger.warning("%s (forced)", problem)
 
 
-def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[DescriptorSet]:
-    sets = []
-    missing = []
+def _check_train(out_dir: Path, key: str, current: str, force: bool) -> None:
+    """Refuse the trained artifacts unless their record holds ``current`` under ``key``, if it holds ``key``."""
+    record = load_state(out_dir).get("train")
+    if record is None:
+        raise PipelineError(f"{out_dir}: no train artifacts recorded; run train first")
+    _refuse_stale("train", key, record.get(key, current), current, force)
+
+
+def _load_sets(manifest: Manifest, out_dir: Path, modality: str, current: str, force: bool) -> list[DescriptorSet]:
+    """Each segment's ``modality`` descriptors, refused (or, forced, warned once) unless extracted under ``current``."""
+    sets, missing = [], []
     for segment in manifest:
         path = descriptor_path(out_dir, modality, segment.id)
         if not path.exists():
@@ -188,8 +189,10 @@ def _load_sets(manifest: Manifest, out_dir: Path, modality: str) -> list[Descrip
     if missing:
         raise PipelineError(
             f"missing {modality} descriptors for {len(missing)} segment(s): {', '.join(missing[:5])}"
-            + ("..." if len(missing) > 5 else "")
+            + ("..." if len(missing) > 5 else "") + "; run extract first"
         )
+    recorded = ", ".join(sorted({dset.extract_hash for dset in sets} - {current})) or current
+    _refuse_stale(f"extract/{modality}", "hash", recorded, current, force)
     return sets
 
 
@@ -202,8 +205,6 @@ def run_train(
 ) -> dict[str, float]:
     """Fit a codebook and an SVM per modality from the training split; returns the selected C per modality."""
     out_dir = Path(out_dir)
-    for modality in MODALITIES:
-        _check_stage(out_dir, f"extract/{modality}", extract_hash(config), force)
     train_manifest = filter_split(manifest, "train")
     if len(train_manifest) == 0:
         raise PipelineError("training split is empty")
@@ -213,9 +214,9 @@ def run_train(
         raise PipelineError(f"training split holds only {only} segments; both classes are required")
 
     y = np.array([label.value for label in labels], dtype=np.float64)
+    modality_sets = {m: _load_sets(train_manifest, out_dir, m, extract_hash(config), force) for m in MODALITIES}
     selected = {}
-    for modality in MODALITIES:
-        sets = _load_sets(train_manifest, out_dir, modality)
+    for modality, sets in modality_sets.items():
         rows, counts = codebook.sample_balanced(
             zip(sets, labels), config.sample_budget, derive_seed(config.seed, "sample", modality)
         )
@@ -287,9 +288,7 @@ def _score_segments(
     manifest: Manifest, split: str | None, config: PipelineConfig, out_dir: Path, force: bool
 ) -> tuple[Manifest, Scores]:
     """Check the stage states, pick the segments of ``split`` (all when None) and score them."""
-    for modality in MODALITIES:
-        _check_stage(out_dir, f"extract/{modality}", extract_hash(config), force)
-    _check_stage(out_dir, "train", train_hash(config), force)
+    _check_train(out_dir, "hash", train_hash(config), force)
     segments = filter_split(manifest, split) if split else manifest
     if len(segments) == 0:
         raise PipelineError(f"split {split!r} is empty" if split else "manifest is empty")
@@ -301,7 +300,7 @@ def _score_segments(
                 raise PipelineError(f"missing trained artifact {path}; run train first")
         book = codebook.read_codebook(paths[0])
         model = classifier.read_svm_model(paths[1])
-        sets = _load_sets(segments, out_dir, modality)
+        sets = _load_sets(segments, out_dir, modality, extract_hash(config), force)
         distances = classifier.decision_distances(
             model, np.stack([codebook.encode(book, dset).values for dset in sets])
         )
@@ -372,7 +371,7 @@ def run_evaluate(
     config = _with_fusion(config, fusion_mode, theta)
     segments, scores = _score_segments(manifest, split, config, out_dir, force)
     if len(filter_split(manifest, "train")):
-        _check_stage(out_dir, "train", train_labels_hash(manifest), force, key="labels")
+        _check_train(out_dir, "labels", train_labels_hash(manifest), force)
     truth_sentiment = np.array([segment.sentiment for segment in segments])
     truth = np.array([segment.label() is Polarity.POSITIVE for segment in segments])
     if truth.all() or not truth.any():

@@ -108,6 +108,13 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="line 2: id"):
             load_manifest(path)
 
+    def test_id_that_utf8_cannot_encode_names_line(self, tmp_path):
+        # JSON's escape for a lone surrogate reads, but neither the manifest nor a descriptor file could hold it.
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a\\ud800", "audio": "a", "video": "a", "sentiment": 0.0, "split": "train"}\n')
+        with pytest.raises(ManifestError, match="line 1: id"):
+            load_manifest(path)
+
     def test_boolean_sentiment_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "audio": "a", "video": "a", "sentiment": true, "split": "train"}\n')

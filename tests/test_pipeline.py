@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import json
 import logging
 import shutil
@@ -232,6 +234,13 @@ class TestExtract:
             assert audio.dim == 3 and len(audio) > 0
             assert video.dim == 64
 
+    def test_header_records_extract_hash_and_media_digest(self, corpus, trained):
+        for segment in corpus.segments[:4]:
+            for modality, media in (("audio", segment.audio_path), ("video", segment.video_path)):
+                dset = read_descriptors(pipeline.descriptor_path(trained, modality, segment.id))
+                assert dset.extract_hash == extract_hash(CONFIG)
+                assert dset.media_digest == hashlib.sha256(corpus.resolve(media).read_bytes()).hexdigest()
+
     def test_second_run_skips_everything(self, corpus, trained):
         before = {
             p: p.stat().st_mtime_ns for p in (trained / "descriptors").rglob("*.dsc")
@@ -241,6 +250,38 @@ class TestExtract:
         assert len(result.skipped) == 2 * len(corpus)
         after = {p: p.stat().st_mtime_ns for p in (trained / "descriptors").rglob("*.dsc")}
         assert before == after
+
+    def test_changed_media_is_reextracted(self, corpus, tmp_path):
+        # Same size, other bytes: only the media's digest tells the file changed.
+        shutil.copytree(corpus.base_dir, tmp_path / "corpus")
+        small = Manifest(segments=corpus.segments[:4], base_dir=tmp_path / "corpus")
+        out = tmp_path / "run"
+        assert pipeline.run_extract(small, CONFIG, out).ok
+        victim, donor = (small.resolve(segment.video_path) for segment in small.segments[1:3])
+        assert victim.stat().st_size == donor.stat().st_size and victim.read_bytes() != donor.read_bytes()
+        shutil.copyfile(donor, victim)
+        result = pipeline.run_extract(small, CONFIG, out)
+        assert result.ok and result.extracted == [f"video:{small.segments[1].id}"]
+        assert len(result.skipped) == 2 * len(small) - 1
+
+    def test_damaged_file_is_reextracted(self, corpus, tmp_path):
+        small = Manifest(segments=corpus.segments[:3], base_dir=corpus.base_dir)
+        victim = small.segments[1].id
+        out = tmp_path / "damaged"
+        assert pipeline.run_extract(small, CONFIG, out, modalities=("audio",)).ok
+        path = pipeline.descriptor_path(out, "audio", victim)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])  # a partial copy, not an interrupted atomic write
+        result = pipeline.run_extract(small, CONFIG, out, modalities=("audio",))
+        assert result.ok and result.extracted == [f"audio:{victim}"]
+        assert len(result.skipped) == 2
+        assert path.read_bytes() == whole
+
+    def test_extract_keeps_no_stage_record(self, corpus, tmp_path):
+        # Freshness lives in each descriptor file's header, not in artifacts.json.
+        out = tmp_path / "stateless"
+        assert pipeline.run_extract(Manifest(segments=corpus.segments[:2], base_dir=corpus.base_dir), CONFIG, out).ok
+        assert not (out / "artifacts.json").exists()
 
     def test_audio_only_three_segments(self, corpus, tmp_path):
         small = Manifest(segments=corpus.segments[:3], base_dir=corpus.base_dir)
@@ -445,6 +486,35 @@ class TestTrain:
         with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
             pipeline.run_train(corpus, changed, out_dir, force=True)
         assert any("extract/video artifacts are stale" in message for message in caplog.messages)
+
+    def test_descriptor_files_from_another_config_refused(self, corpus, trained, tmp_path, caplog):
+        # Files copied in from a run extracted under another audio config: only their headers tell.
+        changed = dataclasses.replace(CONFIG, audio=ProsodyConfig(window=0.03))
+        picked = [s for s in corpus if s.split == "train"][:2] + [next(s for s in corpus if s.split == "validation")]
+        other = tmp_path / "other"
+        assert pipeline.run_extract(Manifest(segments=tuple(picked), base_dir=corpus.base_dir), changed, other).ok
+        out_dir = tmp_path / "copied"
+        shutil.copytree(trained, out_dir)
+        for segment in picked:
+            for modality in pipeline.MODALITIES:
+                dst = pipeline.descriptor_path(out_dir, modality, segment.id)
+                shutil.copyfile(pipeline.descriptor_path(other, modality, segment.id), dst)
+        train = functools.partial(pipeline.run_train, corpus, CONFIG, out_dir)
+        evaluate = functools.partial(pipeline.run_evaluate, corpus, "validation", CONFIG, out_dir)
+        for stage in (train, evaluate):
+            with pytest.raises(pipeline.StaleArtifactsError, match="extract/audio artifacts are stale"):
+                stage()
+        expected = [
+            f"extract/{m} artifacts are stale: recorded hash {extract_hash(changed)}, current {extract_hash(CONFIG)}"
+            " (forced)"
+            for m in pipeline.MODALITIES
+        ]
+        for stage in (train, evaluate):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+                stage(force=True)
+            assert [message for message in caplog.messages if "stale" in message] == expected
+        assert "extract" not in pipeline.load_state(out_dir)
 
     def test_train_without_extract_rejected(self, corpus, tmp_path):
         with pytest.raises(pipeline.PipelineError, match="extract"):

@@ -79,17 +79,29 @@ def test_cut_or_padded_file_raises_value_error(name, n, seed, extra):
             assert _rejects(read, path, data + extra), f"{name}: trailing byte accepted"
 
 
+# A version-2 descriptor header: magic, version, dim, count, extract hash, media SHA-256, id length.
+_DSC2 = struct.Struct("<4sIIQ8s32sI")
+
+
 @pytest.mark.parametrize(
-    ("name", "data", "read"),
+    ("name", "data", "read", "reason"),
     [
-        # 24 bytes: 10**12 rows of 0-d descriptors and an empty id, which once read as a set of that length
-        pytest.param("crafted.dsc", struct.pack("<4sIIQI", b"DSC1", 1, 0, 10**12, 0), read_descriptors, id="DSC1-dim-0"),
+        # 10**12 rows of 0-d descriptors and an empty id, which once read as a set of that length
+        pytest.param(
+            "crafted.dsc", _DSC2.pack(b"DSC1", 2, 0, 10**12, bytes(8), bytes(32), 0), read_descriptors, "dimension is 0",
+            id="DSC1-dim-0",
+        ),
+        # a version-1 file of four 3-d rows (no extract hash or media digest), as older run directories hold
+        pytest.param(
+            "old.dsc", struct.pack("<4sIIQI", b"DSC1", 1, 3, 4, 0) + bytes(48), read_descriptors, "version 1",
+            id="DSC1-version-1",
+        ),
         # headerless PCM half a sample long, once numpy's error without the file's name
-        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, 8000), id="PCM-odd-bytes"),
+        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, 8000), "odd number", id="PCM-odd-bytes"),
     ],
 )
-def test_crafted_file_raises_value_error_naming_it(tmp_path, name, data, read):
+def test_crafted_file_raises_value_error_naming_it(tmp_path, name, data, read, reason):
     path = tmp_path / name
     path.write_bytes(data)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{reason}"):
         read(path)

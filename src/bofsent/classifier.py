@@ -125,10 +125,18 @@ def _solve_dual(signed: np.ndarray, C: float, max_iters: int, tol: float) -> tup
 
     Iterates: a, its upper slack u (carried apart, as C - a cancels at large C)
     and the multipliers s, t of a >= 0 and u >= 0. Each Newton step reduces to
-    (D + Z Z^T) da = r, D = s/a + t/u, which Sherman-Morrison-Woodbury turns into
-    the d x d system (I + Z^T D^-1 Z) q = Z^T D^-1 r, da = D^-1 (r - Z q). That is
-    solved as least squares through a QR factorization of [D^-1/2 Z; I], which
-    stays accurate where a Cholesky factor of the formed matrix broke down.
+    (D + Z Z^T) da = r with D = s/a + t/u, solved in the smaller of the n- and
+    the d-space, and never through a Cholesky factor of a formed matrix, which
+    broke down as the iterates neared the bounds:
+
+    - n <= d: D + Z Z^T = R^T R, with R the triangular QR factor of the
+      (n + d) x n matrix [D^1/2; Z^T], so da = R^-1 R^-T r by two solves. Only
+      the diagonal block of that matrix changes between steps, and no Q is
+      formed.
+    - n > d: Sherman-Morrison-Woodbury turns the step into the d x d system
+      (I + Z^T D^-1 Z) q = Z^T D^-1 r, da = D^-1 (r - Z q), solved as least
+      squares through a QR factorization of [D^-1/2 Z; I].
+
     Returns the Z^T a with the smallest relative duality gap seen.
     """
     n, d = signed.shape
@@ -137,7 +145,8 @@ def _solve_dual(signed: np.ndarray, C: float, max_iters: int, tol: float) -> tup
     grad = signed @ (signed.T @ alpha) - 1.0
     s = np.maximum(grad, 0.0) + 1.0  # s - t = grad: the first dual residual is zero
     t = np.maximum(-grad, 0.0) + 1.0
-    stacked = np.vstack([signed, np.eye(d)])
+    n_space = n <= d
+    stacked = np.vstack([np.zeros((n, n)), signed.T] if n_space else [signed, np.eye(d)])
     best = None
     iterations = 0
     while True:
@@ -155,14 +164,25 @@ def _solve_dual(signed: np.ndarray, C: float, max_iters: int, tol: float) -> tup
 
         r_dual = grad - s + t
         r_box = C - alpha - upper
-        root = np.sqrt(1.0 / (s / alpha + t / upper))
-        stacked[:n] = signed * root[:, None]
-        q_top = np.linalg.qr(stacked)[0][:n]
+        diagonal = s / alpha + t / upper
+        if n_space:
+            np.fill_diagonal(stacked[:n], np.sqrt(diagonal))
+            r = np.linalg.qr(stacked, mode="r")
+
+            def inverse(rhs):
+                return np.linalg.solve(r, np.linalg.solve(r.T, rhs))
+        else:
+            root = np.sqrt(1.0 / diagonal)
+            stacked[:n] = signed * root[:, None]
+            q_top = np.linalg.qr(stacked)[0][:n]
+
+            def inverse(rhs):
+                scaled = root * rhs
+                return root * (scaled - q_top @ (q_top.T @ scaled))
 
         def newton(target_s, target_t):
             """Newton direction with s*da + a*ds = target_s and t*du + u*dt = target_t."""
-            scaled = root * (t / upper * r_box - r_dual + target_s / alpha - target_t / upper)
-            da = root * (scaled - q_top @ (q_top.T @ scaled))
+            da = inverse(t / upper * r_box - r_dual + target_s / alpha - target_t / upper)
             du = r_box - da
             return da, du, (target_s - s * da) / alpha, (target_t - t * du) / upper
 

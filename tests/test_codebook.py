@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bofsent.codebook import (
     _assign,
     _block_posteriors,
     _column_variance,
+    _distinct_rows,
     _joint_terms,
     _kmeans_plus_plus,
     encode,
@@ -35,6 +37,7 @@ from util import (
     unblocked_encode,
     unblocked_log_joint,
     unblocked_logsumexp_rows,
+    unique_rows_encode,
     unscaled_block_posteriors,
 )
 
@@ -383,6 +386,25 @@ class TestBlocks:
         for layout in (data, np.asfortranarray(data)):
             assert np.array_equal(_column_variance(layout), layout.var(axis=0))
 
+    def test_em_step_holds_one_block(self):
+        rng = np.random.default_rng(17)
+        k, dim = 256, 64
+        book = GmmCodebook(
+            weights=np.full(k, 1.0 / k),
+            means=rng.normal(size=(k, dim)),
+            variances=rng.uniform(0.5, 2.0, (k, dim)),
+            modality="video",
+        )
+        data = rng.normal(size=(3 * BLOCK, dim))
+        tracemalloc.start()
+        try:
+            em_step(book, data, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = BLOCK * (2 * dim + k) * 8  # one block's [x², x] features and posteriors
+        assert peak < 1.5 * block
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -690,6 +712,25 @@ class TestEncode:
             axis=0,
         )
         assert np.abs(pooled - expected).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        dim=st.sampled_from([1, 3, 64]),
+    )
+    def test_distinct_rows_match_unique(self, seed, n, dim):
+        # Few values, so rows repeat and -0.0 meets 0.0 in the same column.
+        rng = np.random.default_rng(seed)
+        book = _random_codebook(rng, k=6, dim=dim)
+        pool = rng.choice(np.array([-1.5, -0.0, 0.0, 0.5, 2.0], dtype=np.float32), (max(1, n // 3), dim))
+        rows = pool[rng.integers(len(pool), size=n)]
+        distinct, counts = _distinct_rows(rows)
+        expected_rows, expected_counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(distinct, expected_rows) and np.array_equal(counts, expected_counts)
+        expected = unique_rows_encode(book, rows).tobytes()
+        for order in (np.arange(n), rng.permutation(n)):
+            assert encode(book, DescriptorSet("s", rows[order])).values.tobytes() == expected
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)

@@ -80,7 +80,8 @@ class LinearSvmModel:
 
 
 def _validate_problem(X: np.ndarray, y: np.ndarray, C: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
+    """The checked ``(X, y)``, ``X`` C-ordered float64 so that no fit depends on its memory layout."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
@@ -110,7 +111,7 @@ def _primal(v: np.ndarray, signed: np.ndarray, C: float) -> float:
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
     """Primal objective value (regularizer includes the bias term)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     return _primal(np.append(w, b), _signed_rows(X, np.asarray(y, dtype=np.float64)), C)
 
 
@@ -231,8 +232,8 @@ def _distances(w: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:
 
 
 def decision_distances(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
-    """Signed distances from the separating hyperplane, (w.x + b) / ||w||."""
-    X = np.asarray(X, dtype=np.float64)
+    """Signed distances from the separating hyperplane, (w.x + b) / ||w||, whatever the layout of ``X``."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"expected (n, {model.dim}) inputs")
     return _distances(model.w, model.b, X)

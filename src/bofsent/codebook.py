@@ -46,6 +46,8 @@ _TAG_MODALITIES = {v: k for k, v in _MODALITY_TAGS.items()}
 
 _WEIGHT_FLOOR = 1e-12
 _KMEANS_WARMUP_ITERS = 10
+# Seeded restarts per fit; the one with the highest final log-likelihood is kept.
+_RESTARTS = 3
 
 # Rows per block in EM, log-likelihood, k-means and encoding: 2 MB of (BLOCK, K)
 # float64 posteriors at K=256. 2048 rows was slightly faster, but its 2 MB block of
@@ -100,7 +102,6 @@ class MidLevelVector:
     """Pooled posterior vector for one segment; all-zero only when no descriptors existed."""
 
     values: np.ndarray  # (K,)
-    segment_id: str
     n_descriptors: int
 
 
@@ -212,7 +213,8 @@ def _block_posteriors(
 
 
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    """``data`` as a C-ordered float64 matrix, so no fit depends on the caller's memory layout."""
+    arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     if dim is not None and arr.shape[1] != dim:
@@ -220,10 +222,8 @@ def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _row_counts(counts: np.ndarray | None, n: int) -> np.ndarray:
-    """The ``(n,)`` integer draw counts of ``n`` rows, all ones when ``counts`` is None."""
-    if counts is None:
-        return np.ones(n, dtype=np.int64)
+def _row_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """``counts`` checked as the ``(n,)`` integer draw counts, each at least 1, of ``n`` rows."""
     counts = np.asarray(counts)
     if counts.shape != (n,) or not np.issubdtype(counts.dtype, np.integer):
         raise ValueError(f"counts must be {n} integers, one per row")
@@ -232,24 +232,18 @@ def _row_counts(counts: np.ndarray | None, n: int) -> np.ndarray:
     return counts
 
 
-def _column_variance(data: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+def _column_variance(data: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-column variance of the rows, each repeated ``counts[i]`` times, without a sample-sized temporary.
 
-    With unit counts this is ``data.var(axis=0)`` bit for bit: rows are
-    weighted before they are summed, in the order ``var`` sums them. numpy sums
-    a C-ordered matrix of two or more columns down axis 0 row after row, so
-    each block is summed below the running total; other shapes take ``var``'s
-    whole-array route.
+    Rows are weighted, then each block is summed below the running total in a
+    C-ordered buffer, so the bits do not depend on the layout of ``data``.
+    numpy sums a C-ordered matrix of two or more columns down axis 0 row after
+    row, so with unit counts this is ``var(axis=0)`` of the C-ordered rows bit
+    for bit; a single column is summed pairwise within each block, which
+    rounds differently from ``var``'s pairwise sum over all rows.
     """
     n, dim = data.shape
-    counts = _row_counts(counts, n)
     total = counts.sum()
-    if dim < 2 or not data.flags.c_contiguous:
-        weights = counts[:, None]
-        dev = data - np.add.reduce(data * weights, axis=0, keepdims=True) / total
-        np.multiply(dev, dev, out=dev)
-        dev *= weights
-        return np.add.reduce(dev, axis=0) / total
     buf = np.zeros((min(n, BLOCK) + 1, dim))  # row 0 holds the running total
     for start in range(0, n, BLOCK):
         rows = buf[1 : 1 + min(BLOCK, n - start)]
@@ -279,10 +273,8 @@ def _column_variance(data: np.ndarray, counts: np.ndarray | None = None) -> np.n
 _SEED_SLACK = 1e-6
 
 
-def _kmeans_plus_plus(
-    data: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
-) -> np.ndarray:
-    """k-means++ centers of the rows, each repeated ``counts[i]`` times (default once).
+def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """k-means++ centers of the rows, each repeated ``counts[i]`` times.
 
     The first center is draw number ``rng.integers(counts.sum())`` of the
     repeated rows, and each later row is drawn with probability ∝ counts·d2:
@@ -291,7 +283,6 @@ def _kmeans_plus_plus(
     # Distances are exact sums of (x - c)²: duplicates of a center must read 0,
     # which the "distinct rows" check depends on.
     n, dim = data.shape
-    counts = _row_counts(counts, n)
     centers = np.empty((k, dim))
     centers[0] = data[np.searchsorted(np.cumsum(counts), rng.integers(counts.sum()), side="right")]
     d2 = np.full(n, np.inf)
@@ -355,12 +346,13 @@ def initialize_codebook(
     seed,
     variance_floor: float,
     modality: str = "audio",
-    counts: np.ndarray | None = None,
+    *,
+    counts: np.ndarray,
 ) -> GmmCodebook:
     """Seeded k-means++ plus a short k-means refinement, turned into mixture parameters.
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts (int or sequence).
-    Row i counts ``counts[i]`` times (once when ``counts`` is omitted).
+    Row i counts ``counts[i]`` times.
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
@@ -389,9 +381,9 @@ def initialize_codebook(
 
 
 def em_step(
-    codebook: GmmCodebook, data: np.ndarray, variance_floor: float, counts: np.ndarray | None = None
+    codebook: GmmCodebook, data: np.ndarray, variance_floor: float, counts: np.ndarray
 ) -> tuple[GmmCodebook, float]:
-    """One EM iteration over the rows, row i counted ``counts[i]`` times (once by default).
+    """One EM iteration over the rows, row i counted ``counts[i]`` times.
 
     Returns the updated codebook and the log-likelihood of the data under the
     *incoming* parameters, so consecutive returned values are nondecreasing.
@@ -430,30 +422,30 @@ def fit_gmm(
     tol: float = 1e-5,
     variance_floor_scale: float = 1e-4,
     modality: str = "audio",
-    n_init: int = 3,
-    counts: np.ndarray | None = None,
+    *,
+    counts: np.ndarray,
 ) -> GmmCodebook:
     """Fit a diagonal-covariance mixture by EM.
 
-    Row i of ``data`` counts ``counts[i]`` times (once when ``counts`` is
-    omitted): a class that ``sample_balanced`` drew with replacement is fitted
-    on its distinct rows, weighted by their draw counts. The "10 rows per
-    component" check reads the total count; the "fewer than K distinct rows"
-    check, the finiteness check and the zero-variance check read the rows.
+    Row i of ``data`` counts ``counts[i]`` times: a class that
+    ``sample_balanced`` drew with replacement is fitted on its distinct rows,
+    weighted by their draw counts. The "10 rows per component" check reads the
+    total count; the "fewer than K distinct rows" check, the finiteness check
+    and the zero-variance check read the rows.
 
-    Runs ``n_init`` seeded restarts and keeps the one with the highest final
-    log-likelihood, guarding against bad initializations. Each run stops after
-    ``max_iters`` iterations or when the relative log-likelihood gain drops
-    below ``tol``; each restart is logged at INFO, and so is the kept one,
-    unless it stopped on ``max_iters``, which is logged at WARNING. The
+    Runs ``_RESTARTS`` seeded restarts and keeps the one with the highest
+    final log-likelihood, guarding against bad initializations. Each run stops
+    after ``max_iters`` iterations or when the relative log-likelihood gain
+    drops below ``tol``; each restart is logged at INFO, and so is the kept
+    one, unless it stopped on ``max_iters``, which is logged at WARNING. The
     variance floor is ``variance_floor_scale * mean(per-dimension data
-    variance)``. Identical seeds and data give bit-identical codebooks. No
-    restart with a finite log-likelihood, as under a NaN or infinite floor,
-    raises ``ValueError``.
+    variance)``. Identical seeds and data give bit-identical codebooks,
+    whatever the memory layout of ``data``. No restart with a finite
+    log-likelihood, as under a NaN or infinite floor, raises ``ValueError``.
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
-    for name, value in (("n_components", n_components), ("n_init", n_init), ("max_iters", max_iters)):
+    for name, value in (("n_components", n_components), ("max_iters", max_iters)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
     total = counts.sum()
@@ -469,10 +461,8 @@ def fit_gmm(
     best_ll = -np.inf
     best_restart = 0
     best_stop = "tol"
-    for restart in range(n_init):
-        codebook = initialize_codebook(
-            data, n_components, [seed, restart], variance_floor, modality, counts
-        )
+    for restart in range(_RESTARTS):
+        codebook = initialize_codebook(data, n_components, [seed, restart], variance_floor, modality, counts=counts)
         previous = -np.inf
         stop = "max_iters"
         for iters in range(1, max_iters + 1):
@@ -483,7 +473,7 @@ def fit_gmm(
             previous = ll
         logger.info(
             "%s codebook (K=%d) restart %d/%d: %d EM iterations, log-likelihood %.6f, stopped on %s",
-            modality, n_components, restart + 1, n_init, iters, ll, stop,
+            modality, n_components, restart + 1, _RESTARTS, iters, ll, stop,
         )
         if ll > best_ll:
             best, best_ll, best_restart, best_stop = codebook, ll, restart, stop
@@ -493,10 +483,10 @@ def fit_gmm(
     if best_stop == "max_iters":
         logger.warning(
             kept + ", which stopped on max_iters=%d before its relative gain fell below tol=%g",
-            modality, best_restart + 1, n_init, best_ll, max_iters, tol,
+            modality, best_restart + 1, _RESTARTS, best_ll, max_iters, tol,
         )
     else:
-        logger.info(kept, modality, best_restart + 1, n_init, best_ll)
+        logger.info(kept, modality, best_restart + 1, _RESTARTS, best_ll)
     return best
 
 
@@ -527,13 +517,13 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     n = len(dset)
     pooled = np.zeros(codebook.n_components)
     if n == 0:
-        return MidLevelVector(values=pooled, segment_id=dset.segment_id, n_descriptors=0)
+        return MidLevelVector(values=pooled, n_descriptors=0)
     rows, counts = _distinct_rows(dset.descriptors)
     terms = _joint_terms(codebook)
     for start in range(0, rows.shape[0], BLOCK):
         block = slice(start, start + BLOCK)
         pooled += _block_posteriors(rows[block], *terms, counts[block])[1].sum(axis=0)
-    return MidLevelVector(values=pooled / n, segment_id=dset.segment_id, n_descriptors=n)
+    return MidLevelVector(values=pooled / n, n_descriptors=n)
 
 
 def write_codebook(path: str | Path, codebook: GmmCodebook) -> None:

@@ -167,11 +167,11 @@ def _refuse_stale(stage: str, key: str, recorded: str, current: str, force: bool
 
 
 def _check_train(out_dir: Path, key: str, current: str, force: bool) -> None:
-    """Refuse the trained artifacts unless their record holds ``current`` under ``key``, if it holds ``key``."""
+    """Refuse the trained artifacts unless their record holds ``current`` under ``key``."""
     record = load_state(out_dir).get("train")
     if record is None:
         raise PipelineError(f"{out_dir}: no train artifacts recorded; run train first")
-    _refuse_stale("train", key, record.get(key, current), current, force)
+    _refuse_stale("train", key, record.get(key), current, force)
 
 
 def _load_sets(manifest: Manifest, out_dir: Path, modality: str, current: str, force: bool) -> list[DescriptorSet]:

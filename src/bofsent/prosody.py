@@ -70,12 +70,14 @@ def frame_signal(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> 
     """Slice a signal into Hann-weighted analysis blocks of ``config``'s window and hop.
 
     Returns an (n_blocks, block_len) array with block_len = round(window * rate)
-    and block spacing round(hop * rate). Raises if the signal is shorter than
-    one window.
+    and block spacing round(hop * rate). Raises if the hop rounds to no sample
+    at this rate, or if the signal is shorter than one window.
     """
     rate = signal.sample_rate
     block_len = int(round(config.window * rate))
     hop_len = int(round(config.hop * rate))
+    if hop_len < 1:
+        raise ValueError(f"hop {config.hop} s (window {config.window} s) is under one sample at {rate} Hz")
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")

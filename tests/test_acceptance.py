@@ -94,15 +94,16 @@ def test_criterion_3_em_monotone_and_recovers_means():
         means = _well_separated_means(rng, k, dim)
         data = np.vstack([rng.normal(m, 1.0, (300, dim)) for m in means])
         floor = 1e-4 * data.var(axis=0).mean()
-        book = initialize_codebook(data, k, seed=case, variance_floor=floor)
+        ones = np.ones(len(data), dtype=np.int64)
+        book = initialize_codebook(data, k, seed=case, variance_floor=floor, counts=ones)
         values = []
         for _ in range(50):
-            book, ll = em_step(book, data, floor)
+            book, ll = em_step(book, data, floor, ones)
             values.append(ll)
         diffs = np.diff(values)
         assert (diffs >= -1e-9).all(), f"case {case}: log-likelihood decreased"
 
-        fitted = fit_gmm(data, k, seed=case)
+        fitted = fit_gmm(data, k, seed=case, counts=ones)
         separations = [
             np.linalg.norm(means[i] - means[j]) for i in range(k) for j in range(i + 1, k)
         ]

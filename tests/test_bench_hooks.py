@@ -3,13 +3,16 @@
 ``bench/spans.Tracer.patch`` skips a name the program no longer has, so a
 rename would read 0 in that layer's metrics instead of failing a run. A hook
 reads its function's arguments or result (``encode``'s ``n_descriptors``,
-``run_extract``'s job lists), so a changed shape fails here too.
+``run_extract``'s job lists), so a changed shape fails here too, and so does
+one that ``harness.artifact_counters`` reads back from a finished run.
 """
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import harness  # noqa: E402
 import layers  # noqa: E402
 import spans  # noqa: E402
 
@@ -69,3 +72,9 @@ def test_traced_stages_fire_every_hook_and_count_their_work(tmp_path, monkeypatc
     values = instrumentation.metrics(theta, {}, 0.0)
     for key in ("codebook.encode_rows", "video.points", "prosody.frames", "classifier.solves"):
         assert values[key] > 0, key
+
+    counters = harness.artifact_counters(manifest, out_dir)
+    for modality in layers.MODALITIES:
+        for polarity in layers.CLASSES:
+            assert counters[f"descriptors.rows.{modality}.{polarity}"] > 0, (modality, polarity)
+        assert math.isfinite(counters[f"classifier.objective.{modality}"]), modality

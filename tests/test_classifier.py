@@ -149,6 +149,21 @@ class TestTrainSvm:
         assert a.b == b.b
         assert (a.score_min, a.score_max) == (b.score_min, b.score_max)
 
+    # n <= dim + 1 takes the n-space Newton step, n > dim + 1 the d-space one.
+    @pytest.mark.parametrize(("n", "dim"), [(60, 256), (100, 128), (150, 16)])
+    def test_memory_layout_does_not_change_the_model(self, n, dim, tmp_path):
+        rng = np.random.default_rng(n + dim)
+        X = rng.dirichlet(np.ones(dim), n)  # simplex rows, as encoding gives
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        fortran = np.asfortranarray(X)
+        for index, layout in enumerate((X, fortran)):
+            write_svm_model(tmp_path / f"{index}.svm", train_svm(layout, y, C=8.0))
+        assert (tmp_path / "0.svm").read_bytes() == (tmp_path / "1.svm").read_bytes()
+        model = read_svm_model(tmp_path / "0.svm")
+        assert decision_distances(model, fortran).tobytes() == decision_distances(model, X).tobytes()
+        assert svm_objective(model.w, model.b, fortran, y, 8.0) == svm_objective(model.w, model.b, X, y, 8.0)
+
 
 class TestSolverProperties:
     @settings(max_examples=40, deadline=None)

@@ -46,6 +46,11 @@ def _dset(seg_id, rows):
     return DescriptorSet(segment_id=seg_id, descriptors=np.asarray(rows, dtype=np.float32))
 
 
+def _ones(rows):
+    """Unit draw counts: each row drawn once."""
+    return np.ones(len(rows), dtype=np.int64)
+
+
 def _random_codebook(rng, k=4, dim=3):
     weights = rng.uniform(0.5, 2.0, k)
     return GmmCodebook(
@@ -153,7 +158,7 @@ class TestFitGmm:
         data = np.vstack(
             [rng.normal(true_means[0], 1.0, (10000, 2)), rng.normal(true_means[1], 1.0, (10000, 2))]
         )
-        book = fit_gmm(data, 2, seed=3)
+        book = fit_gmm(data, 2, seed=3, counts=_ones(data))
         order = np.argsort(book.means[:, 0])
         separation = np.linalg.norm(true_means[1] - true_means[0])
         for fitted, truth in zip(book.means[order], true_means):
@@ -163,7 +168,7 @@ class TestFitGmm:
     def test_k1_closed_form(self):
         rng = np.random.default_rng(1)
         data = rng.normal(2.0, 3.0, (200, 3))
-        book = fit_gmm(data, 1, seed=0)
+        book = fit_gmm(data, 1, seed=0, counts=_ones(data))
         floor = 1e-4 * data.var(axis=0).mean()
         assert np.allclose(book.means[0], data.mean(axis=0), atol=1e-12)
         assert np.allclose(book.variances[0], np.maximum(data.var(axis=0), floor), atol=1e-12)
@@ -172,8 +177,8 @@ class TestFitGmm:
     def test_seed_determinism_bitwise(self):
         rng = np.random.default_rng(2)
         data = rng.normal(0, 1, (500, 4))
-        a = fit_gmm(data, 3, seed=11)
-        b = fit_gmm(data, 3, seed=11)
+        a = fit_gmm(data, 3, seed=11, counts=_ones(data))
+        b = fit_gmm(data, 3, seed=11, counts=_ones(data))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
@@ -181,11 +186,12 @@ class TestFitGmm:
     def test_zero_iterations_rejected(self):
         data = np.random.default_rng(3).normal(size=(100, 2))
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            fit_gmm(data, 2, seed=0, max_iters=0)
+            fit_gmm(data, 2, seed=0, max_iters=0, counts=_ones(data))
 
     def test_requires_enough_rows(self):
+        data = np.zeros((19, 2)) + np.arange(19)[:, None]
         with pytest.raises(ValueError, match="rows"):
-            fit_gmm(np.zeros((19, 2)) + np.arange(19)[:, None], 2, seed=0)
+            fit_gmm(data, 2, seed=0, counts=_ones(data))
 
     @staticmethod
     def _drawn(rng, distinct, total, dim=3):
@@ -196,15 +202,15 @@ class TestFitGmm:
     def test_row_check_reads_total_count(self):
         # codebook256's video sample: 2,011 distinct rows drawn 16,000 times, K=256
         rows, counts = self._drawn(np.random.default_rng(0), 2011, 16_000)
-        book = fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1, counts=counts)
+        book = fit_gmm(rows, 256, seed=0, max_iters=2, counts=counts)
         assert book.n_components == 256
         with pytest.raises(ValueError, match="need at least 2560 rows"):
-            fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1)
+            fit_gmm(rows, 256, seed=0, max_iters=2, counts=_ones(rows))
 
     def test_distinct_rows_check_reads_rows(self):
         rows, counts = self._drawn(np.random.default_rng(1), 200, 16_000)
         with pytest.raises(ValueError, match="fewer than 256 distinct rows"):
-            fit_gmm(rows, 256, seed=0, max_iters=2, n_init=1, counts=counts)
+            fit_gmm(rows, 256, seed=0, max_iters=2, counts=counts)
 
     @pytest.mark.parametrize(
         ("counts", "message"),
@@ -244,11 +250,11 @@ class TestFitGmm:
         data = np.random.default_rng(0).normal(size=(2 * BLOCK + 3, 2))
         data[row, 1] = value
         with pytest.raises(ValueError, match="finite"):
-            fit_gmm(data, 2, seed=0)
+            fit_gmm(data, 2, seed=0, counts=_ones(data))
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate|distinct"):
-            fit_gmm(np.ones((50, 2)), 2, seed=0)
+            fit_gmm(np.ones((50, 2)), 2, seed=0, counts=_ones(range(50)))
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -256,7 +262,7 @@ class TestFitGmm:
         # Every restart's log-likelihood is NaN, so none is kept.
         data = np.random.default_rng(0).normal(size=(200, 2))
         with pytest.raises(ValueError, match="no restart reached a finite log-likelihood"):
-            fit_gmm(data, 2, seed=0, variance_floor_scale=scale)
+            fit_gmm(data, 2, seed=0, variance_floor_scale=scale, counts=_ones(data))
 
     @pytest.mark.parametrize(
         "rows",
@@ -271,19 +277,19 @@ class TestFitGmm:
     def test_more_components_than_distinct_rows(self, rows):
         data = np.repeat(rows, 20, axis=0)  # 2 distinct rows
         with pytest.raises(ValueError, match="distinct"):
-            fit_gmm(data, 3, seed=0)
+            fit_gmm(data, 3, seed=0, counts=_ones(data))
 
     def test_each_restart_logged(self, caplog):
         rng = np.random.default_rng(3)
         data = np.vstack([rng.normal(0.0, 1.0, (200, 2)), rng.normal(6.0, 1.0, (200, 2))])
         with caplog.at_level(logging.INFO, logger="bofsent.codebook"):
-            book = fit_gmm(data, 2, seed=1, max_iters=200, n_init=3)
-            capped = fit_gmm(data, 2, seed=1, max_iters=1, n_init=2)
+            book = fit_gmm(data, 2, seed=1, max_iters=200, counts=_ones(data))
+            capped = fit_gmm(data, 2, seed=1, max_iters=1, counts=_ones(data))
         assert isinstance(book, GmmCodebook) and isinstance(capped, GmmCodebook)
         records = [(rec.levelno, rec.getMessage()) for rec in caplog.records]
         restarts = [m for level, m in records if "EM iterations" in m and level == logging.INFO]
         kept = [(level, m) for level, m in records if "kept restart" in m]
-        assert len(restarts) == 5 and len(kept) == 2
+        assert len(restarts) == 6 and len(kept) == 2  # three restarts per fit
         assert all("stopped on tol" in m for m in restarts[:3])
         assert all("1 EM iterations" in m and "stopped on max_iters" in m for m in restarts[3:])
         final = [float(m.split("log-likelihood ")[1].split(",")[0]) for m in restarts[:3]]
@@ -303,10 +309,10 @@ class TestFitGmm:
                 [rng.normal(rng.uniform(-3, 3, dim), rng.uniform(0.5, 2.0), (150, dim)) for _ in range(k)]
             )
             floor = 1e-4 * data.var(axis=0).mean()
-            book = initialize_codebook(data, k, seed=case, variance_floor=floor)
+            book = initialize_codebook(data, k, seed=case, variance_floor=floor, counts=_ones(data))
             values = []
             for _ in range(25):
-                book, ll = em_step(book, data, floor)
+                book, ll = em_step(book, data, floor, _ones(data))
                 values.append(ll)
             diffs = np.diff(values)
             assert (diffs >= -1e-9).all()
@@ -317,11 +323,11 @@ class TestFitGmm:
         data[:, 1] *= 1e-6  # squash one dimension toward the floor
         floor_scale = 1e-4
         floor = floor_scale * data.var(axis=0).mean()
-        book = initialize_codebook(data, 3, seed=0, variance_floor=floor)
+        book = initialize_codebook(data, 3, seed=0, variance_floor=floor, counts=_ones(data))
         for _ in range(15):
-            book, _ = em_step(book, data, floor)
+            book, _ = em_step(book, data, floor, _ones(data))
             assert (book.variances >= floor - 1e-15).all()
-        fitted = fit_gmm(data, 3, seed=0, variance_floor_scale=floor_scale)
+        fitted = fit_gmm(data, 3, seed=0, variance_floor_scale=floor_scale, counts=_ones(data))
         assert (fitted.variances >= floor - 1e-15).all()
 
 
@@ -342,7 +348,7 @@ class TestBlocks:
         book = _random_codebook(rng, k=5, dim=3)
         data = _mixture_rows(rng, book, n)
         floor = 1e-3
-        updated, ll = em_step(book, data, floor)
+        updated, ll = em_step(book, data, floor, _ones(data))
         weights, means, variances, expected_ll = unblocked_em_step(
             book.weights, book.means, book.variances, data, floor
         )
@@ -358,7 +364,7 @@ class TestBlocks:
         rows = _mixture_rows(rng, book, n).astype(np.float32)
         joint = unblocked_log_joint(book.weights, book.means, book.variances, rows.astype(np.float64))
         expected_ll = float(unblocked_logsumexp_rows(joint).sum())
-        assert em_step(book, rows, 1e-3)[1] == pytest.approx(expected_ll, rel=1e-12, abs=0)
+        assert em_step(book, rows, 1e-3, _ones(rows))[1] == pytest.approx(expected_ll, rel=1e-12, abs=0)
         pooled = encode(book, DescriptorSet("s", rows)).values
         expected = unblocked_encode(book.weights, book.means, book.variances, rows)
         np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=0)
@@ -381,10 +387,17 @@ class TestBlocks:
     @pytest.mark.parametrize("dim", [1, 2, 3, 64])
     @pytest.mark.parametrize("n", SIZES)
     def test_column_variance_matches_var_bitwise(self, n, dim):
+        # Both layouts give the same bits: those of ``var`` of the C-ordered rows
+        # for two or more columns. One column is summed pairwise within each
+        # block, which rounds differently from ``var``'s pairwise sum of all rows.
         rng = np.random.default_rng(300 + n + dim)
         data = rng.normal(5.0, 1.0, (n, dim)) * rng.choice([1e-3, 1.0, 1e4], size=(n, dim))
-        for layout in (data, np.asfortranarray(data)):
-            assert np.array_equal(_column_variance(layout), layout.var(axis=0))
+        variance = _column_variance(data, _ones(data))
+        _same_bits(_column_variance(np.asfortranarray(data), _ones(data)), variance)
+        if dim == 1:
+            np.testing.assert_allclose(variance, data.var(axis=0), rtol=1e-12, atol=0)
+        else:
+            _same_bits(variance, data.var(axis=0))
 
     def test_em_step_holds_one_block(self):
         rng = np.random.default_rng(17)
@@ -398,7 +411,7 @@ class TestBlocks:
         data = rng.normal(size=(3 * BLOCK, dim))
         tracemalloc.start()
         try:
-            em_step(book, data, 1e-3)
+            em_step(book, data, 1e-3, _ones(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,7 +478,7 @@ class TestSeeding:
         k = min(k, n)
         data = _seeding_rows(np.random.default_rng(seed), kind, n, dim) * 10.0**exponent
         outcomes = []
-        for seeding in (_kmeans_plus_plus, kmeans_plus_plus_reference):
+        for seeding in (lambda *args: _kmeans_plus_plus(*args, _ones(data)), kmeans_plus_plus_reference):
             try:
                 outcomes.append(seeding(data, k, np.random.default_rng(seed)).tobytes())
             except ValueError as exc:
@@ -475,14 +488,14 @@ class TestSeeding:
     def test_two_centers_compute_every_row(self, caplog):
         data = np.random.default_rng(0).normal(size=(BLOCK + 1, 3))
         with caplog.at_level(logging.DEBUG, logger="bofsent.codebook"):
-            _kmeans_plus_plus(data, 2, np.random.default_rng(1))
+            _kmeans_plus_plus(data, 2, np.random.default_rng(1), _ones(data))
         assert _seeding_count(caplog) == (BLOCK + 1, BLOCK + 1)
 
     def test_separated_clusters_skip_rows(self, caplog):
         rng = np.random.default_rng(2)
         data = (100.0 * np.eye(8))[rng.integers(0, 8, 2000)] + rng.normal(size=(2000, 8))
         with caplog.at_level(logging.DEBUG, logger="bofsent.codebook"):
-            _kmeans_plus_plus(data, 16, np.random.default_rng(3))
+            _kmeans_plus_plus(data, 16, np.random.default_rng(3), _ones(data))
         computed, full = _seeding_count(caplog)
         assert full == 2000 * 15
         assert computed < full // 2
@@ -525,7 +538,7 @@ class TestWeighted:
         rng, rows, counts, repeated = _weighted_case(seed, n, dim, max_count)
         book = _random_codebook(rng, k=5, dim=dim)
         updated, ll = em_step(book, rows, 1e-3, counts)
-        expected, expected_ll = em_step(book, repeated, 1e-3)
+        expected, expected_ll = em_step(book, repeated, 1e-3, _ones(repeated))
         for name in ("weights", "means", "variances"):
             _close(getattr(updated, name), getattr(expected, name))
         expected_ll = pytest.approx(expected_ll, rel=WEIGHTED_RTOL, abs=WEIGHTED_RTOL * len(repeated))
@@ -541,26 +554,54 @@ class TestWeighted:
         rng, rows, counts, repeated = _weighted_case(seed, n, dim, max_count)
         k = min(k, n)
         weighted = initialize_codebook(rows, k, seed, 1e-3, counts=counts)
-        expected = initialize_codebook(repeated, k, seed, 1e-3)
+        expected = initialize_codebook(repeated, k, seed, 1e-3, counts=_ones(repeated))
         for name in ("weights", "means", "variances"):
             _close(getattr(weighted, name), getattr(expected, name))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 8), dtype=st.sampled_from([np.int64, np.int32, np.uint8]), **CASES)
     def test_unit_counts_are_the_unweighted_call(self, seed, n, dim, max_count, k, dtype):
+        # Unit counts of any integer type give the bits of int64 ones, and the
+        # seeding draws of the unweighted reference.
         rng, rows, _, _ = _weighted_case(seed, n, dim, max_count)
         ones = np.ones(n, dtype=dtype)
         book = _random_codebook(rng, k=5, dim=dim)
-        (stepped, ll), (expected, expected_ll) = em_step(book, rows, 1e-3, ones), em_step(book, rows, 1e-3)
+        stepped, ll = em_step(book, rows, 1e-3, ones)
+        expected, expected_ll = em_step(book, rows, 1e-3, _ones(rows))
         assert ll == expected_ll
-        _same_bits(_column_variance(rows, ones), rows.var(axis=0))
+        _same_bits(_column_variance(rows, ones), _column_variance(rows, _ones(rows)))
         k = min(k, n)
         seeded = _kmeans_plus_plus(rows, k, np.random.default_rng(seed), ones)
         _same_bits(seeded, kmeans_plus_plus_reference(rows, k, np.random.default_rng(seed)))
-        initial = initialize_codebook(rows, k, seed, 1e-3, counts=ones), initialize_codebook(rows, k, seed, 1e-3)
+        initial = (
+            initialize_codebook(rows, k, seed, 1e-3, counts=ones),
+            initialize_codebook(rows, k, seed, 1e-3, counts=_ones(rows)),
+        )
         for weighted, unweighted in ((stepped, expected), initial):
             for name in ("weights", "means", "variances"):
                 _same_bits(getattr(weighted, name), getattr(unweighted, name))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 64])
+def test_fits_do_not_depend_on_memory_layout(dim):
+    # C order, Fortran order and a strided view of the same rows and counts.
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(0.0, 2.0, (BLOCK + 37, dim)) * rng.choice([1e-3, 1.0, 1e3], size=dim)
+    counts = rng.integers(1, 5, len(rows))
+    layouts = (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2])
+    floor = 1e-4 * float(rows.var(axis=0).mean())
+    fits = [
+        (
+            initialize_codebook(data, 6, 3, floor, counts=counts),
+            em_step(_random_codebook(np.random.default_rng(5), k=6, dim=dim), data, floor, counts)[0],
+            fit_gmm(data, 6, seed=3, max_iters=4, counts=counts),
+        )
+        for data in layouts
+    ]
+    for other in fits[1:]:
+        for got, expected in zip(other, fits[0]):
+            for name in ("weights", "means", "variances"):
+                _same_bits(getattr(got, name), getattr(expected, name))
 
 
 def test_empty_cluster_takes_floored_column_variance(monkeypatch):
@@ -604,13 +645,13 @@ class TestLoglik:
         book = GmmCodebook(
             weights=np.array([1.0]), means=np.array([[0.0]]), variances=np.array([[1.0]]), modality="audio"
         )
-        assert em_step(book, np.array([[0.0]]), 1.0)[1] == pytest.approx(-0.5 * np.log(2 * np.pi))
+        assert em_step(book, np.array([[0.0]]), 1.0, _ones([0]))[1] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_always_finite(self):
         rng = np.random.default_rng(6)
         book = _random_codebook(rng)
         extreme = np.array([[1e6, -1e6, 1e6], [0.0, 0.0, 0.0]])
-        assert np.isfinite(em_step(book, extreme, 1e-3)[1])
+        assert np.isfinite(em_step(book, extreme, 1e-3, _ones(extreme))[1])
 
     def test_matches_direct_density_oracle(self):
         rng = np.random.default_rng(8)
@@ -618,13 +659,13 @@ class TestLoglik:
             book = _random_codebook(rng, k=int(rng.integers(1, 5)), dim=int(rng.integers(1, 4)))
             data = rng.normal(0, 2, (12, book.dim))
             expected = direct_loglik(book.weights, book.means, book.variances, data)
-            assert em_step(book, data, 1e-3)[1] == pytest.approx(expected, abs=1e-9)
+            assert em_step(book, data, 1e-3, _ones(data))[1] == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         book = _random_codebook(rng, dim=3)
         with pytest.raises(ValueError, match="dimension"):
-            em_step(book, np.zeros((5, 2)), 1e-3)
+            em_step(book, np.zeros((5, 2)), 1e-3, _ones(range(5)))
 
 
 class TestEncode:

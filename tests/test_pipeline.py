@@ -613,6 +613,23 @@ class TestEvaluate:
         assert result == expected
         assert any("stale" in message and "labels" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize("key", ["hash", "labels"])
+    def test_train_record_missing_a_key_refused(self, corpus, trained, tmp_path, caplog, key):
+        out_dir = tmp_path / "missing"
+        shutil.copytree(trained, out_dir)
+        expected = pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        state = pipeline.load_state(out_dir)
+        del state["train"][key]
+        (out_dir / "artifacts.json").write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(pipeline.StaleArtifactsError, match=f"recorded {key} None"):
+            pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        if key == "hash":
+            with pytest.raises(pipeline.StaleArtifactsError, match="recorded hash None"):
+                pipeline.run_predict(corpus, CONFIG, out_dir, split="validation")
+        with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+            assert pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir, force=True) == expected
+        assert any(f"recorded {key} None" in message for message in caplog.messages)
+
     def test_manifest_without_train_segments_not_checked(self, corpus, trained, tmp_path):
         # Scoring new data: a manifest with no train segments has no labels to compare.
         out_dir = tmp_path / "new-data"

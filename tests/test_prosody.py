@@ -39,6 +39,12 @@ class TestFrameSignal:
         with pytest.raises(ValueError, match="shorter"):
             frame_signal(sig)
 
+    def test_hop_under_one_sample_rejected(self):
+        sig = PcmSignal(samples=np.zeros(1000), sample_rate=SR)
+        with pytest.raises(ValueError, match=r"hop 1e-05 s \(window 0.05 s\) is under one sample at 16000 Hz"):
+            frame_signal(sig, ProsodyConfig(hop=1e-5))
+        assert frame_signal(sig, ProsodyConfig(hop=0.6 / SR)).shape == (201, 800)  # rounds to one sample
+
     def test_hann_weighting(self):
         sig = PcmSignal(samples=np.ones(800), sample_rate=SR)
         block = frame_signal(sig)[0]

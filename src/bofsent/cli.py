@@ -78,9 +78,7 @@ def _cmd_extract(args, manifest: Manifest, config: PipelineConfig) -> int:
 
 
 def _cmd_train(args, manifest: Manifest, config: PipelineConfig) -> int:
-    selected_c = pipeline.run_train(manifest, config, args.out_dir, force=args.force)
-    for modality, c in sorted(selected_c.items()):
-        logger.info("train: %s model ready (C=%g)", modality, c)
+    pipeline.run_train(manifest, config, args.out_dir, force=args.force)
     return 0
 
 

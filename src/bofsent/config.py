@@ -46,8 +46,14 @@ class PipelineConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.gmm_max_iters < 1:
-            raise ValueError(f"gmm_max_iters {self.gmm_max_iters} must be at least 1")
+        for name in ("codebook_size", "gmm_max_iters", "svm_max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be at least 1")
+        if self.sample_budget < 1 or self.sample_budget % 2:
+            raise ValueError(f"sample_budget {self.sample_budget} must be a positive even number")
+        for name in ("gmm_tol", "svm_tol"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)} must be finite and at least 0")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds {self.cv_folds} must be at least 2")
         if self.c_exponent_min > self.c_exponent_max:

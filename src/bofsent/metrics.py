@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-SENTIMENT_SPAN = 6.0  # width of the sentiment scale [-3, 3]
+from .corpus import SENTIMENT_MAX, SENTIMENT_MIN
+
+SENTIMENT_SPAN = SENTIMENT_MAX - SENTIMENT_MIN
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def multiclass_accuracy(
     if classes not in (5, 7):
         raise ValueError("classes must be 5 or 7")
     pred_bins = np.clip(np.rint(pred), -(classes // 2), classes // 2)
-    truth_bins = np.clip(np.rint(truth), -3, 3)
+    truth_bins = np.clip(np.rint(truth), SENTIMENT_MIN, SENTIMENT_MAX)
     bins, index, members = np.unique(truth_bins, return_inverse=True, return_counts=True)
     hits = np.bincount(index[pred_bins == truth_bins], minlength=bins.size)
     return mean_rate(hits, members)

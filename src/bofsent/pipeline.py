@@ -200,10 +200,14 @@ def _load_sets(manifest: Manifest, out_dir: Path, modality: str, current: str, f
 # train
 
 
-def run_train(
-    manifest: Manifest, config: PipelineConfig, out_dir: str | Path, force: bool = False
-) -> dict[str, float]:
-    """Fit a codebook and an SVM per modality from the training split; returns the selected C per modality."""
+def run_train(manifest: Manifest, config: PipelineConfig, out_dir: str | Path, force: bool = False) -> None:
+    """Fit a codebook and an SVM per modality from the training split, then write them together.
+
+    Nothing is written until both modalities are fitted, so a failed fit leaves
+    the run directory as it was. The writes remove ``artifacts.json`` first and
+    write it last, holding only the new train record: a run cut short in between
+    leaves no record, and a fusion weight tuned on the replaced models is dropped.
+    """
     out_dir = Path(out_dir)
     train_manifest = filter_split(manifest, "train")
     if len(train_manifest) == 0:
@@ -215,7 +219,7 @@ def run_train(
 
     y = np.array([label.value for label in labels], dtype=np.float64)
     modality_sets = {m: _load_sets(train_manifest, out_dir, m, extract_hash(config), force) for m in MODALITIES}
-    selected = {}
+    fitted = {}
     for modality, sets in modality_sets.items():
         rows, counts = codebook.sample_balanced(
             zip(sets, labels), config.sample_budget, derive_seed(config.seed, "sample", modality)
@@ -245,25 +249,18 @@ def run_train(
         final = {"C": best_c, **model.solve._asdict()}
         logger.info("%s: selected C=%g (cv accuracy %.4f)", modality, best_c, dict(table)[best_c])
         _warn_unconverged(modality, [*solves, final], config)
+        record = {"selected_c": best_c, "table": [[C, acc] for C, acc in table], "solves": solves, "final": final}
+        fitted[modality] = (book, model, record)
 
-        out_dir.joinpath("models").mkdir(parents=True, exist_ok=True)
+    state_path = out_dir / "artifacts.json"
+    state_path.unlink(missing_ok=True)
+    out_dir.joinpath("models").mkdir(parents=True, exist_ok=True)
+    for modality, (book, model, record) in fitted.items():
         codebook.write_codebook(codebook_path(out_dir, modality), book)
         classifier.write_svm_model(svm_path(out_dir, modality), model)
-        _write_json(
-            out_dir / "models" / f"{modality}_cv.json",
-            {
-                "selected_c": best_c,
-                "table": [[C, acc] for C, acc in table],
-                "solves": solves,
-                "final": final,
-            },
-        )
-        selected[modality] = best_c
-
-    state = load_state(out_dir)
-    state["train"] = {"hash": train_hash(config), "labels": train_labels_hash(manifest), "seed": config.seed}
-    _write_json(out_dir / "artifacts.json", state)
-    return selected
+        _write_json(out_dir / "models" / f"{modality}_cv.json", record)
+    train = {"hash": train_hash(config), "labels": train_labels_hash(manifest), "seed": config.seed}
+    _write_json(state_path, {"train": train})
 
 
 def _warn_unconverged(modality: str, solves: list[dict], config: PipelineConfig) -> None:

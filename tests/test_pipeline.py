@@ -101,9 +101,16 @@ class TestConfig:
             ({"variance_floor_scale": 0}, "variance_floor_scale 0.0 must be finite and above 0"),
             ({"variance_floor_scale": -1}, "variance_floor_scale -1.0 must be finite and above 0"),
             ({"theta_grid_step": 0.0009}, r"theta_grid_step 0.0009 outside \[0.001, 1\]"),
+            ({"codebook_size": 0}, "codebook_size 0 must be at least 1"),
+            ({"svm_max_epochs": 0}, "svm_max_epochs 0 must be at least 1"),
+            ({"sample_budget": 3}, "sample_budget 3 must be a positive even number"),
+            ({"sample_budget": 0}, "sample_budget 0 must be a positive even number"),
+            ({"gmm_tol": float("inf")}, "gmm_tol inf must be finite and at least 0"),
+            ({"svm_tol": -1e-6}, "svm_tol -1e-06 must be finite and at least 0"),
         ],
         ids=["no-em-iterations", "no-folds", "one-fold", "empty-c-grid", "overflowing-c", "zero-c", "nan-floor",
-             "infinite-floor", "zero-floor", "negative-floor", "tiny-theta-step"],
+             "infinite-floor", "zero-floor", "negative-floor", "tiny-theta-step", "empty-codebook", "no-svm-epochs",
+             "odd-budget", "zero-budget", "infinite-gmm-tol", "negative-svm-tol"],
     )
     def test_unusable_training_settings_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -202,6 +209,7 @@ class TestConfig:
         changed = {
             "audio": ProsodyConfig(window=0.03),
             "video": DetectorConfig(threshold=1e-3),
+            "sample_budget": 500_000,  # the budget must stay even
             "fusion_mode": "output",
             "theta": 0.4,
             "theta_grid_step": 0.25,
@@ -520,6 +528,59 @@ class TestTrain:
         with pytest.raises(pipeline.PipelineError, match="extract"):
             pipeline.run_train(corpus, CONFIG, tmp_path / "fresh")
 
+    def test_failed_fit_changes_no_file(self, corpus, trained, tmp_path, monkeypatch):
+        out_dir = tmp_path / "failed"
+        shutil.copytree(trained, out_dir)
+        expected = pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        before = _snapshot(out_dir)
+        fit_gmm = codebook.fit_gmm
+
+        def audio_only(*args, modality, **kwargs):
+            if modality == "video":
+                raise RuntimeError("video fit failed")
+            return fit_gmm(*args, modality=modality, **kwargs)
+
+        monkeypatch.setattr(codebook, "fit_gmm", audio_only)
+        with pytest.raises(RuntimeError, match="video fit failed"):
+            pipeline.run_train(corpus, dataclasses.replace(CONFIG, codebook_size=4), out_dir)
+        assert _snapshot(out_dir) == before
+        assert pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir) == expected
+        assert _snapshot(out_dir) == before
+
+    def test_commit_cut_short_leaves_no_record(self, corpus, trained, tmp_path, monkeypatch):
+        out_dir = tmp_path / "cut"
+        shutil.copytree(trained, out_dir)
+        write_svm_model = classifier.write_svm_model
+
+        def dies_on_video(path, model):
+            if path == pipeline.svm_path(out_dir, "video"):
+                raise OSError("disk full")
+            write_svm_model(path, model)
+
+        monkeypatch.setattr(classifier, "write_svm_model", dies_on_video)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.run_train(corpus, dataclasses.replace(CONFIG, codebook_size=4), out_dir)
+        assert not (out_dir / "artifacts.json").exists()
+        with pytest.raises(pipeline.PipelineError, match="run train first$"):
+            pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        with pytest.raises(pipeline.PipelineError, match="run train first$"):
+            pipeline.run_predict(corpus, CONFIG, out_dir, split="validation")
+
+    def test_retrain_drops_recorded_theta(self, corpus, trained, tmp_path):
+        out_dir = tmp_path / "retrained"
+        shutil.copytree(trained, out_dir)
+        pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir, fusion_mode="score")
+        assert "fusion" in pipeline.load_state(out_dir)
+        pipeline.run_train(corpus, CONFIG, out_dir)
+        train = {"hash": train_hash(CONFIG), "labels": train_labels_hash(corpus), "seed": CONFIG.seed}
+        assert pipeline.load_state(out_dir) == {"train": train}
+        equal = pipeline.run_predict(corpus, CONFIG, out_dir, split="validation", theta=0.5).read_bytes()
+        assert pipeline.run_predict(corpus, CONFIG, out_dir, split="validation").read_bytes() == equal
+
+
+def _snapshot(out_dir):
+    return {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
 
 class TestEvaluate:
     def test_validation_reports(self, corpus, trained):
@@ -638,6 +699,26 @@ class TestEvaluate:
         assert set(pipeline.run_evaluate(validation, "validation", CONFIG, out_dir).reports) == {"audio", "video", "fused"}
         lines = pipeline.run_predict(validation, CONFIG, out_dir).read_text().splitlines()
         assert len(lines) == len(validation) + 1
+
+    @pytest.mark.parametrize(
+        "removed, message",
+        [
+            ("artifacts.json", "no train artifacts recorded"),
+            ("models/audio.gmm", "missing trained artifact .*audio.gmm"),
+            ("models/audio.svm", "missing trained artifact .*audio.svm"),
+            ("models/video.gmm", "missing trained artifact .*video.gmm"),
+            ("models/video.svm", "missing trained artifact .*video.svm"),
+        ],
+        ids=["no-record", "no-audio-codebook", "no-audio-svm", "no-video-codebook", "no-video-svm"],
+    )
+    def test_untrained_run_refused(self, corpus, trained, tmp_path, removed, message):
+        out_dir = tmp_path / "untrained"
+        shutil.copytree(trained, out_dir)
+        (out_dir / removed).unlink()
+        with pytest.raises(pipeline.PipelineError, match=f"{message}; run train first$"):
+            pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
+        with pytest.raises(pipeline.PipelineError, match=f"{message}; run train first$"):
+            pipeline.run_predict(corpus, CONFIG, out_dir)
 
 
 def _first_train_label_flipped(manifest: Manifest) -> Manifest:
@@ -771,9 +852,22 @@ class TestCli:
             {"variance_floor_scale": -1},
             {"c_exponent_max": 2000},
             {"theta_grid_step": 1e-4},
+            {"codebook_size": 0},
+            {"sample_budget": 3},
+            {"sample_budget": 0},
+            {"sample_budget": -2},
+            {"svm_max_epochs": 0},
+            {"gmm_tol": -1e-5},
+            {"gmm_tol": float("inf")},
+            {"gmm_tol": float("nan")},
+            {"svm_tol": -1e-6},
+            {"svm_tol": float("inf")},
+            {"svm_tol": float("nan")},
         ],
         ids=["string-count", "string-scale", "bool-count", "zero-hop", "no-harmonics", "nan-floor", "infinite-floor",
-             "zero-floor", "negative-floor", "overflowing-c", "tiny-theta-step"],
+             "zero-floor", "negative-floor", "overflowing-c", "tiny-theta-step", "empty-codebook", "odd-budget",
+             "zero-budget", "negative-budget", "no-svm-epochs", "negative-gmm-tol", "infinite-gmm-tol", "nan-gmm-tol",
+             "negative-svm-tol", "infinite-svm-tol", "nan-svm-tol"],
     )
     def test_unusable_config_exits_two_before_extracting(self, corpus, tmp_path, raw):
         config_path = tmp_path / "config.json"

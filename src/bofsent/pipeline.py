@@ -92,11 +92,12 @@ def _is_fresh(dst: Path, segment_id: str, current: str, media: Path) -> bool:
 
 
 def _extract_one(segment, modality: str, config: PipelineConfig, current: str, media: Path, dst: Path) -> None:
-    digest = hashlib.sha256(media.read_bytes()).hexdigest()  # read before the rows: a change meanwhile reads as stale
+    data = media.read_bytes()  # read once: the digest is of the bytes the rows come from
+    digest = hashlib.sha256(data).hexdigest()
     if modality == "audio":
-        rows = extract_audio_descriptors(read_pcm(media, segment.sample_rate), config.audio)
+        rows = extract_audio_descriptors(read_pcm(media, segment.sample_rate, data), config.audio)
     else:
-        rows = extract_video_descriptors(read_frame_volume(media), config.video)
+        rows = extract_video_descriptors(read_frame_volume(media, data), config.video)
     dst.parent.mkdir(parents=True, exist_ok=True)
     write_descriptors(dst, DescriptorSet(segment.id, rows, current, digest))
 

@@ -16,6 +16,7 @@ from bofsent.codebook import (
     _block_posteriors,
     _column_variance,
     _distinct_rows,
+    _draw,
     _joint_terms,
     _kmeans_plus_plus,
     encode,
@@ -222,15 +223,16 @@ class TestFitGmm:
         with pytest.raises(ValueError, match=message):
             fit_gmm(data, 2, seed=0, counts=counts)
 
-    # sha256 of the codebook file, recorded before sampling returned draw counts: a
-    # sample where no class falls back must keep the bytes of the unweighted fit.
-    # Recorded with OpenBLAS 0.3.31 (Haswell kernels); another BLAS may round the
-    # matrix products differently.
+    # sha256 of the codebook file: a sample where no class falls back must keep
+    # the bytes of the unweighted fit. The budget and EM's block sums follow
+    # BLOCK, so the digests do too; these are for BLOCK = 512, recorded with
+    # numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels). Another BLAS may round
+    # the matrix products differently.
     @pytest.mark.parametrize(
         ("dim", "k", "digest"),
         [
-            (3, 8, "e4b1a261433a7a82597947ea1a96ff38d3fa37489b89a09dcdc622b90faf678e"),
-            (64, 16, "f66fc1cccb8f1863cf9536da551d9bb9d68f385f9f1c11387bda39211ed79fbf"),
+            (3, 8, "0b27879418473bd9327915cc0e6ca15cd69665a934b4fdb2d5cdb2a1aec75194"),
+            (64, 16, "9448b2c050b1f31d94e85bb98f66a3bd9a84b98c499e4c36ce42904328ffbab0"),
         ],
     )
     def test_unit_counts_keep_their_digest(self, dim, k, digest, tmp_path):
@@ -244,10 +246,12 @@ class TestFitGmm:
         write_codebook(tmp_path / "b.gmm", fit_gmm(rows, k, seed=3, max_iters=20, counts=counts))
         assert hashlib.sha256((tmp_path / "b.gmm").read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize(("row", "value"), [(0, np.nan), (BLOCK - 1, np.inf), (2 * BLOCK + 2, np.nan)])
+    @pytest.mark.parametrize(
+        ("row", "value"), [(0, np.nan), (BLOCK - 1, np.inf), (2 * BLOCK - 1, np.inf), (4 * BLOCK + 2, np.nan)]
+    )
     def test_non_finite_row_rejected_in_any_block(self, row, value):
-        # 2 * BLOCK + 3 rows: two full blocks and a partial one holding the last row.
-        data = np.random.default_rng(0).normal(size=(2 * BLOCK + 3, 2))
+        # 4 * BLOCK + 3 rows: four full blocks and a partial one holding the last row.
+        data = np.random.default_rng(0).normal(size=(4 * BLOCK + 3, 2))
         data[row, 1] = value
         with pytest.raises(ValueError, match="finite"):
             fit_gmm(data, 2, seed=0, counts=_ones(data))
@@ -340,7 +344,8 @@ def _mixture_rows(rng, book, n):
 class TestBlocks:
     """The blocked kernels against the former all-rows-at-once formulas, around block boundaries."""
 
-    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+    # Either side of one and of two full blocks, and four full blocks and a partial one.
+    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 3]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_em_step_matches_unblocked(self, n):
@@ -383,6 +388,30 @@ class TestBlocks:
         wide = rng.normal(0.0, 2.0, (256, 64))
         rows = rng.normal(0.0, 2.0, (n, 64))
         assert np.array_equal(_assign(rows, wide), allocating_assign(rows, wide))
+
+    def test_assign_does_not_depend_on_block(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        centers = rng.normal(0.0, 2.0, (256, 64))
+        rows = rng.normal(0.0, 2.0, (2 * 1024 + 3, 64))
+        outcomes = []
+        for block in (1, 7, 512, 1024):
+            monkeypatch.setattr(codebook, "BLOCK", block)
+            outcomes.append(_assign(rows, centers))
+        for other in outcomes[1:]:
+            assert np.array_equal(other, outcomes[0])
+
+    @pytest.mark.parametrize(("n", "dim"), [(1, 64), (7, 64), (116, 3), (300, 64)])
+    def test_encode_of_one_block_does_not_depend_on_block(self, monkeypatch, n, dim):
+        # A segment's distinct rows in one block are one matrix product, whatever the block size.
+        rng = np.random.default_rng(n)
+        book = _random_codebook(rng, k=256, dim=dim)
+        dset = _dset("s", rng.normal(0.0, 2.0, (n, dim)))
+        outcomes = []
+        for block in (1, 7, 512, 1024):
+            if block >= n:
+                monkeypatch.setattr(codebook, "BLOCK", block)
+                outcomes.append(encode(book, dset).values.tobytes())
+        assert len(outcomes) >= 2 and len(set(outcomes)) == 1
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 64])
     @pytest.mark.parametrize("n", SIZES)
@@ -484,6 +513,37 @@ class TestSeeding:
             except ValueError as exc:
                 outcomes.append(f"ValueError: {exc}")
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mass=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from([1e-300, 1.0, 1e300]),  # repeated values are ties
+                st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+            ),
+            min_size=1,
+            max_size=64,
+        ).filter(lambda values: any(values)),
+    )
+    @example(seed=0, mass=[1.0])
+    @example(seed=3, mass=[0.0, 0.0, 5.0, 0.0])
+    def test_draw_is_choice(self, seed, mass):
+        mass = np.array(mass)
+        p = mass / mass.sum()
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert _draw(p, ours) == numpys.choice(len(p), p=p)
+        assert ours.random() == numpys.random()  # the same generator state after the draws
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row", [0, 5, BLOCK + 1])
+    def test_non_finite_rows_rejected(self, value, row):
+        data = np.random.default_rng(row).normal(size=(BLOCK + 2, 3))
+        data[row, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            initialize_codebook(data, 4, 0, 1e-3, counts=_ones(data))
 
     def test_two_centers_compute_every_row(self, caplog):
         data = np.random.default_rng(0).normal(size=(BLOCK + 1, 3))
@@ -636,6 +696,37 @@ def test_empty_cluster_takes_floored_column_variance(monkeypatch):
     assert expected[0] == floor and (expected[1:] > floor).all()
     _same_bits(book.variances[3], expected)
     assert book.weights[3] < 1e-11
+
+
+class TestTerms:
+    """A codebook's parameters are frozen, so the joint terms stored at construction stay current."""
+
+    def _assert_current(self, book):
+        for stored, fresh in zip(book.terms, _joint_terms(book)):
+            _same_bits(stored, fresh)
+
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(22)
+        means = rng.normal(size=(4, 3))
+        book = GmmCodebook(np.full(4, 0.25), means, rng.uniform(0.5, 2.0, (4, 3)), "audio")
+        means[0, 0] = 99.0  # the caller's array stays its own
+        assert book.means[0, 0] != 99.0
+        for array in (book.weights, book.means, book.variances, *book.terms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        self._assert_current(book)
+
+    def test_terms_current_after_em_step_and_read(self, tmp_path):
+        rng = np.random.default_rng(23)
+        book = _random_codebook(rng, k=8, dim=3)
+        data = _mixture_rows(rng, book, 200)
+        updated, _ = em_step(book, data, 1e-3, _ones(data))
+        self._assert_current(updated)
+        write_codebook(tmp_path / "b.gmm", updated)
+        back = read_codebook(tmp_path / "b.gmm")
+        self._assert_current(back)
+        for stored, fresh in zip(back.terms, updated.terms):
+            _same_bits(stored, fresh)
 
 
 class TestLoglik:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,29 @@ class TestExtract:
         assert result.ok and result.extracted == [f"audio:{victim}"]
         assert len(result.skipped) == 2
         assert path.read_bytes() == whole
+
+    def test_media_read_once_and_named_in_errors(self, corpus, trained, tmp_path, monkeypatch):
+        shutil.copytree(corpus.base_dir, tmp_path / "corpus")
+        small = Manifest(segments=corpus.segments[:2], base_dir=tmp_path / "corpus")
+        media = [small.resolve(p) for s in small for p in (s.audio_path, s.video_path)]
+        cut = media[-1]
+        cut.write_bytes(cut.read_bytes()[:-1])
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        out = tmp_path / "run"
+        result = pipeline.run_extract(small, CONFIG, out)
+        assert sorted(str(path) for path in reads if path.suffix in (".pcm", ".fvl")) == sorted(map(str, media))
+        failed = f"video:{small.segments[1].id}"
+        assert list(result.failures) == [failed] and str(cut) in result.failures[failed]
+        for modality in pipeline.MODALITIES:  # the same bytes as the fixture's extraction
+            written, expected = (pipeline.descriptor_path(d, modality, small.segments[0].id) for d in (out, trained))
+            assert read_bytes(written) == read_bytes(expected)
 
     def test_extract_keeps_no_stage_record(self, corpus, tmp_path):
         # Freshness lives in each descriptor file's header, not in artifacts.json.

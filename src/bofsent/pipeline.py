@@ -95,7 +95,7 @@ def _extract_one(segment, modality: str, config: PipelineConfig, current: str, m
     data = media.read_bytes()  # read once: the digest is of the bytes the rows come from
     digest = hashlib.sha256(data).hexdigest()
     if modality == "audio":
-        rows = extract_audio_descriptors(read_pcm(media, segment.sample_rate, data), config.audio)
+        rows = extract_audio_descriptors(read_pcm(media, data, segment.sample_rate), config.audio)
     else:
         rows = extract_video_descriptors(read_frame_volume(media, data), config.video)
     dst.parent.mkdir(parents=True, exist_ok=True)

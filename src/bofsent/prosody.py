@@ -217,15 +217,12 @@ def write_pcm(path: str | Path, signal: PcmSignal) -> None:
         fh.write(ints.tobytes())
 
 
-def read_pcm(path: str | Path, sample_rate: int | None = None, data: bytes | None = None) -> PcmSignal:
-    """Read PCM audio, either self-describing (magic header) or headerless.
+def read_pcm(path: str | Path, data: bytes, sample_rate: int | None = None) -> PcmSignal:
+    """Parse PCM audio ``data`` read from ``path``, self-describing (magic header) or headerless.
 
     Headerless files need ``sample_rate``; 16-bit little-endian samples are
-    rescaled to [-1, 1]. A caller that already holds the file's bytes passes
-    them as ``data``, and the file is not read again; errors name ``path``.
+    rescaled to [-1, 1]. ``path`` only names the file in errors.
     """
-    if data is None:
-        data = Path(path).read_bytes()
     if data[:4] == PCM_MAGIC:
         if len(data) < _PCM_HEADER.size:
             raise ValueError(f"{path}: truncated header")

@@ -400,10 +400,8 @@ def write_frame_volume(path: str | Path, volume: FrameVolume) -> None:
         fh.write(data.tobytes())
 
 
-def read_frame_volume(path: str | Path, data: bytes | None = None) -> FrameVolume:
-    """Read a frame volume; a caller that already holds the file's bytes passes them as ``data``."""
-    if data is None:
-        data = Path(path).read_bytes()
+def read_frame_volume(path: str | Path, data: bytes) -> FrameVolume:
+    """Parse a frame volume from ``data`` read from ``path``; ``path`` only names the file in errors."""
     if len(data) < _VOLUME_HEADER.size or data[:4] != VOLUME_MAGIC:
         raise ValueError(f"{path}: not a frame volume file")
     _, t, h, w, rate_milli = _VOLUME_HEADER.unpack_from(data)

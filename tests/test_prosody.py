@@ -310,7 +310,7 @@ class TestPcmIo:
         sig = tone(330.0, 0.1)
         path = tmp_path / "x.pcm"
         write_pcm(path, sig)
-        back = read_pcm(path)
+        back = read_pcm(path, path.read_bytes())
         assert back.sample_rate == SR
         assert np.abs(back.samples - sig.samples).max() < 1.0 / 32000
 
@@ -318,5 +318,5 @@ class TestPcmIo:
         path = tmp_path / "raw.pcm"
         path.write_bytes(np.zeros(100, dtype="<i2").tobytes())
         with pytest.raises(ValueError, match="sample rate"):
-            read_pcm(path)
-        assert read_pcm(path, sample_rate=8000).sample_rate == 8000
+            read_pcm(path, path.read_bytes())
+        assert read_pcm(path, path.read_bytes(), sample_rate=8000).sample_rate == 8000

@@ -40,8 +40,9 @@ def _svm(rng, n):
 
 # name -> (make a valid object, writer, reader, whether appended bytes must be rejected)
 FORMATS = {
-    "PCM1": (_pcm, write_pcm, read_pcm, False),  # media: a header-sized prefix is read, the rest ignored
-    "FVL1": (_volume, write_frame_volume, read_frame_volume, True),
+    # PCM1 is media: a header-sized prefix is read, the rest ignored
+    "PCM1": (_pcm, write_pcm, lambda path: read_pcm(path, path.read_bytes()), False),
+    "FVL1": (_volume, write_frame_volume, lambda path: read_frame_volume(path, path.read_bytes()), True),
     "DSC1": (_descriptors, write_descriptors, read_descriptors, True),
     "GMM1": (_codebook, write_codebook, read_codebook, True),
     "SVM1": (_svm, write_svm_model, read_svm_model, True),
@@ -97,7 +98,7 @@ _DSC2 = struct.Struct("<4sIIQ8s32sI")
             id="DSC1-version-1",
         ),
         # headerless PCM half a sample long, once numpy's error without the file's name
-        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, 8000), "odd number", id="PCM-odd-bytes"),
+        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, path.read_bytes(), 8000), "odd number", id="PCM-odd-bytes"),
     ],
 )
 def test_crafted_file_raises_value_error_naming_it(tmp_path, name, data, read, reason):

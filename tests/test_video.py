@@ -450,7 +450,7 @@ class TestVolumeIo:
         volume = FrameVolume(frames=rng.random((5, 20, 18)), frame_rate=12.5)
         path = tmp_path / "v.fvl"
         write_frame_volume(path, volume)
-        back = read_frame_volume(path)
+        back = read_frame_volume(path, path.read_bytes())
         assert back.shape == (5, 20, 18)
         assert back.frame_rate == pytest.approx(12.5)
         assert np.abs(back.frames - volume.frames).max() <= 0.5 / 255
@@ -459,7 +459,7 @@ class TestVolumeIo:
         path = tmp_path / "bad.fvl"
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
-            read_frame_volume(path)
+            read_frame_volume(path, path.read_bytes())
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError, match="minimum"):

@@ -11,17 +11,17 @@ was drawn. Seeding, the k-means warm start, EM and the log-likelihood take
 those draw counts as integer row weights, so fitting on ``(rows, counts)`` is
 fitting on ``np.repeat(rows, counts, axis=0)`` without building it, and unit
 counts give the bits of an unweighted fit. EM, the log-likelihood and encoding
-share one weighting rule: ``_block_posteriors`` scales each row by its count.
+share one weighting rule: ``_block_posteriors`` weights row i by count/normaliser.
 
 EM, the log-likelihood, k-means assignment and encoding walk their rows in
-blocks of ``BLOCK`` rows. A block's log joint is one matrix product of
-``[x², x]`` against a ``(2·dim, K)`` parameter matrix, built once per codebook
-(``GmmCodebook.terms``; the parameters are read-only, so it cannot go stale),
-and EM accumulates its sufficient statistics (N_k, Σγx, Σγx²) block by block.
-EM frees each block's features and posteriors before it builds the next
-block's, so one block is alive at a time and working memory grows with
-``BLOCK * K``, not with the sample. The block size is fixed, so results do not
-depend on anything but the inputs.
+blocks of ``BLOCK`` rows. A block's log joint is one product of ``[x², x, 1]``
+with the ``(2·dim+1, K)`` matrix ``GmmCodebook.terms`` (built once; the
+parameters are read-only, so it cannot go stale). Its posteriors stay
+unnormalised: EM scales the features by the row weights, so one product
+``featsᵀ @ post`` yields ``[Σγx²; Σγx; N_k]``, and encoding pools with
+``weights @ post``. k-means scores ``[x, 1]`` against ``[-2cᵀ; |c|²]``. One
+block is alive at a time, so working memory grows with ``BLOCK * K``, not with
+the sample; the block size is fixed, so results depend only on the inputs.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class GmmCodebook:
     means: np.ndarray  # (K, dim)
     variances: np.ndarray  # (K, dim)
     modality: str
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # ``_joint_terms(self)``
+    terms: np.ndarray = field(init=False, repr=False)  # ``_joint_terms(self)``, (2·dim+1, K)
 
     def __post_init__(self):
         self.weights = _frozen(self.weights)
@@ -87,8 +87,8 @@ class GmmCodebook:
         self.variances = _frozen(self.variances)
         if self.modality not in _MODALITY_TAGS:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.means.ndim != 2 or self.means.shape != self.variances.shape:
-            raise ValueError("means and variances must be matching (K, dim) arrays")
+        if self.means.ndim != 2 or self.means.shape != self.variances.shape or 0 in self.means.shape:
+            raise ValueError(f"means and variances must be matching (K, dim) arrays, K, dim >= 1: {self.means.shape}")
         if self.weights.shape != (self.means.shape[0],):
             raise ValueError("weights must be a (K,) vector")
         if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -97,9 +97,8 @@ class GmmCodebook:
             raise ValueError("weights must be strictly positive")
         if (self.variances <= 0).any():
             raise ValueError("variances must be strictly positive")
-        matrix, const = _joint_terms(self)
-        matrix.flags.writeable = const.flags.writeable = False
-        self.terms = (matrix, const)
+        self.terms = _joint_terms(self)
+        self.terms.flags.writeable = False
 
     @property
     def n_components(self) -> int:
@@ -191,45 +190,42 @@ def sample_balanced(
     return rows, np.concatenate([counts for _, counts in picks])
 
 
-def _joint_terms(codebook: GmmCodebook) -> tuple[np.ndarray, np.ndarray]:
-    """``(matrix, const)`` with log(weight_k * N(x; mean_k, var_k)) = ``[x², x] @ matrix + const``.
-
-    ``matrix`` is ``(2·dim, K)``: ``-1/(2 var)`` over ``mean/var``.
-    """
-    inv = 1.0 / codebook.variances
-    matrix = np.ascontiguousarray(np.concatenate([-0.5 * inv, codebook.means * inv], axis=1).T)
-    const = np.log(codebook.weights) - 0.5 * (
-        codebook.dim * math.log(2.0 * math.pi)
+def _joint_terms(codebook: GmmCodebook) -> np.ndarray:
+    """The ``(2·dim+1, K)`` rows ``-1/(2 var); mean/var; const``: log(w_k N(x; μ_k, σ²_k)) = ``[x², x, 1] @ terms``."""
+    dim = codebook.dim
+    terms = np.empty((2 * dim + 1, codebook.n_components))
+    inv = np.divide(1.0, codebook.variances.T, out=terms[:dim])
+    np.multiply(codebook.means.T, inv, out=terms[dim:-1])
+    terms[-1] = np.log(codebook.weights) - 0.5 * (
+        dim * math.log(2.0 * math.pi)
         + np.log(codebook.variances).sum(axis=1)
-        + (codebook.means * codebook.means * inv).sum(axis=1)
+        + (codebook.means.T * terms[dim:-1]).sum(axis=0)
     )
-    return matrix, const
+    inv *= -0.5
+    return terms
 
 
-def _block_posteriors(
-    rows: np.ndarray, matrix: np.ndarray, const: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features ``[x², x]``, posteriors and log normalisers of one row block, each row's scaled by its count.
+def _block_posteriors(rows: np.ndarray, terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Features ``[x², x, 1]``, unnormalised posteriors, row weights and log normalisers of one row block.
 
     The log joint is one matrix product; the posteriors are computed in place
     over it with a single ``exp``, floored at ``exp(_LOG_FLOOR)`` times the
-    row's largest, and divided by ``total / counts[i]``, so row i's sum to its
-    count. Its log normaliser is its log-likelihood (the log-sum-exp of its
-    joint) times its count. A count of 1 keeps the unweighted bits.
+    row's largest, and left unnormalised: row i's weight ``counts[i] / total``
+    makes them sum to its count. Its log normaliser is its log-likelihood (the
+    log-sum-exp of its joint) times its count.
     """
     dim = rows.shape[1]
-    feats = np.empty((rows.shape[0], 2 * dim))
-    feats[:, dim:] = rows
-    np.square(feats[:, dim:], out=feats[:, :dim])
-    post = feats @ matrix
-    post += const
-    peak = post.max(axis=1, keepdims=True)
-    post -= peak
+    feats = np.empty((rows.shape[0], 2 * dim + 1))
+    feats[:, -1] = 1.0
+    feats[:, dim:-1] = rows
+    np.square(feats[:, dim:-1], out=feats[:, :dim])
+    post = feats @ terms
+    peak = post.max(axis=1)
+    post -= peak[:, None]
     np.maximum(post, _LOG_FLOOR, out=post)
     np.exp(post, out=post)
-    total = post.sum(axis=1, keepdims=True)
-    post /= total / counts[:, None]
-    return feats, post, counts * (peak[:, 0] + np.log(total[:, 0]))
+    total = post.sum(axis=1)
+    return feats, post, counts / total, counts * (peak + np.log(total))
 
 
 def _as_matrix(data: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -350,17 +346,17 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator, counts
 
 
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center for each row: argmin of |c|² - 2 x·c, block by block."""
-    neg_twice = -2.0 * centers.T
-    norms = (centers * centers).sum(axis=1)
-    n = data.shape[0]
+    """Index of the nearest center for each row: argmin of ``[x, 1] @ [-2cᵀ; |c|²]``, block by block."""
+    n, dim = data.shape
+    terms = np.vstack([-2.0 * centers.T, (centers * centers).sum(axis=1)])
     assign = np.empty(n, dtype=np.intp)
+    feats = np.ones((min(n, BLOCK), dim + 1))
     scores = np.empty((min(n, BLOCK), centers.shape[0]))
     for start in range(0, n, BLOCK):
-        block = scores[: min(BLOCK, n - start)]
-        np.matmul(data[start : start + BLOCK], neg_twice, out=block)
-        block += norms
-        block.argmin(axis=1, out=assign[start : start + BLOCK])
+        m = min(BLOCK, n - start)
+        feats[:m, :dim] = data[start : start + m]
+        np.matmul(feats[:m], terms, out=scores[:m])
+        scores[:m].argmin(axis=1, out=assign[start : start + m])
     return assign
 
 
@@ -416,27 +412,27 @@ def em_step(
 
     Returns the updated codebook and the log-likelihood of the data under the
     *incoming* parameters, so consecutive returned values are nondecreasing.
-    The sufficient statistics N_k, Σγx and Σγx² are accumulated over blocks
-    of ``BLOCK`` rows from the count-scaled posteriors of ``_block_posteriors``,
-    so a class drawn with replacement costs its distinct rows, not its draws.
+    The sufficient statistics Σγx², Σγx and N_k are summed over blocks of
+    ``BLOCK`` rows as one product of the features, scaled in place by the row
+    weights of ``_block_posteriors``, with the posteriors: a class drawn with
+    replacement costs its distinct rows, not its draws.
     """
     data = _as_matrix(data, codebook.dim)
     n, dim = data.shape
     counts = _row_counts(counts, n)
-    nk = np.zeros(codebook.n_components)
-    stats = np.zeros((codebook.n_components, 2 * dim))  # [Σγx², Σγx] per component
+    stats = np.zeros((2 * dim + 1, codebook.n_components))  # [Σγx²; Σγx; N_k]
     norms = np.empty(n)
     for start in range(0, n, BLOCK):
         block = slice(start, start + BLOCK)
-        feats, resp, norms[block] = _block_posteriors(data[block], *codebook.terms, counts[block])
-        nk += resp.sum(axis=0)
-        stats += resp.T @ feats
-        del feats, resp  # one block alive at a time
+        feats, post, scale, norms[block] = _block_posteriors(data[block], codebook.terms, counts[block])
+        feats *= scale[:, None]
+        stats += feats.T @ post
+        del feats, post  # one block alive at a time
 
-    safe = np.maximum(nk, _WEIGHT_FLOOR)[:, None]
-    means = stats[:, dim:] / safe
-    variances = np.maximum(stats[:, :dim] / safe - means * means, variance_floor)
-    weights = np.maximum(nk / counts.sum(), _WEIGHT_FLOOR)
+    safe = np.maximum(stats[-1], _WEIGHT_FLOOR)  # N_k
+    means = (stats[dim:-1] / safe).T
+    variances = np.maximum((stats[:dim] / safe).T - means * means, variance_floor)
+    weights = np.maximum(stats[-1] / counts.sum(), _WEIGHT_FLOOR)
     weights = weights / weights.sum()
     updated = GmmCodebook(weights=weights, means=means, variances=variances, modality=codebook.modality)
     return updated, float(norms.sum())
@@ -534,7 +530,7 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     """Average the per-descriptor component posteriors into one simplex vector.
 
     The distinct descriptor rows are put in sorted order (``_distinct_rows``)
-    and their posteriors, computed ``BLOCK`` rows at a time and scaled by each
+    and their posteriors, computed ``BLOCK`` rows at a time and weighted by each
     row's count as in EM, are summed. The result is therefore bit-for-bit
     independent of descriptor order, even though a matrix product may round a
     row differently depending on where in the block it sits. Empty sets encode
@@ -549,7 +545,8 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     rows, counts = _distinct_rows(dset.descriptors)
     for start in range(0, rows.shape[0], BLOCK):
         block = slice(start, start + BLOCK)
-        pooled += _block_posteriors(rows[block], *codebook.terms, counts[block])[1].sum(axis=0)
+        _, post, scale, _ = _block_posteriors(rows[block], codebook.terms, counts[block])
+        pooled += scale @ post
     return MidLevelVector(values=pooled / n, n_descriptors=n)
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from bofsent import codebook
 from bofsent.codebook import (
+    _CODEBOOK_HEADER,
     _KMEANS_WARMUP_ITERS,
     BLOCK,
+    CODEBOOK_MAGIC,
     GmmCodebook,
     _assign,
     _block_posteriors,
@@ -231,8 +233,8 @@ class TestFitGmm:
     @pytest.mark.parametrize(
         ("dim", "k", "digest"),
         [
-            (3, 8, "0b27879418473bd9327915cc0e6ca15cd69665a934b4fdb2d5cdb2a1aec75194"),
-            (64, 16, "9448b2c050b1f31d94e85bb98f66a3bd9a84b98c499e4c36ce42904328ffbab0"),
+            (3, 8, "6ab8aa623cd933f143f83025ec9d410ed6958bd17b4c7f707a40981b6106b4e2"),
+            (64, 16, "f5e694f36186cf669d648e1d2350887e6ec88b0c3202b3a8c04366459a0f608d"),
         ],
     )
     def test_unit_counts_keep_their_digest(self, dim, k, digest, tmp_path):
@@ -389,6 +391,19 @@ class TestBlocks:
         rows = rng.normal(0.0, 2.0, (n, 64))
         assert np.array_equal(_assign(rows, wide), allocating_assign(rows, wide))
 
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_assign_ties_go_to_the_lowest_index(self, dim):
+        # 40 centers copy others, so every row near one of them ties between two
+        # or more equal columns of scores; argmin must keep the first.
+        rng = np.random.default_rng(dim)
+        centers = rng.normal(0.0, 2.0, (256, dim))
+        copies = rng.choice(256, (40, 2), replace=False)
+        centers[copies[:, 1]] = centers[copies[:, 0]]
+        first = np.array([np.flatnonzero((centers == center).all(axis=1))[0] for center in centers])
+        source = rng.integers(0, 256, 2 * BLOCK + 5)
+        rows = centers[source] + rng.normal(0.0, 1e-3, (len(source), dim))
+        assert np.array_equal(_assign(rows, centers), first[source])
+
     def test_assign_does_not_depend_on_block(self, monkeypatch):
         rng = np.random.default_rng(21)
         centers = rng.normal(0.0, 2.0, (256, 64))
@@ -460,17 +475,19 @@ class TestBlocks:
         rng = np.random.default_rng(seed)
         book = _random_codebook(rng, k=5, dim=dim)
         rows = _mixture_rows(rng, book, n)
-        terms = _joint_terms(book)
         counts = rng.integers(1, max_count + 1, n)
-        _, post, norms = _block_posteriors(rows, *terms, counts)
-        assert np.abs(post.sum(axis=1) - counts).max() <= 1e-12
-        feats, unscaled, unscaled_norms = unscaled_block_posteriors(rows, *terms)
-        np.testing.assert_allclose(post, unscaled * counts[:, None], rtol=1e-15, atol=0)
+        feats, post, scale, norms = _block_posteriors(rows, book.terms, counts)
+        weighted = post * scale[:, None]
+        assert np.abs(weighted.sum(axis=1) - counts).max() <= 1e-12
+        expected_feats, unscaled, unscaled_norms = unscaled_block_posteriors(rows, book.terms)
+        _same_bits(feats, expected_feats)
+        np.testing.assert_allclose(weighted, unscaled * counts[:, None], rtol=1e-15, atol=0)
         _same_bits(norms, counts * unscaled_norms)
-        # a count of 1 keeps the bits of the unscaled block
-        unit = _block_posteriors(rows, *terms, np.ones(n, dtype=np.int64))
-        for got, expected in zip(unit, (feats, unscaled, unscaled_norms)):
-            _same_bits(got, expected)
+        # counts enter only through the row weights and log normalisers
+        unit = _block_posteriors(rows, book.terms, np.ones(n, dtype=np.int64))
+        _same_bits(unit[1], post)
+        np.testing.assert_allclose(scale, counts * unit[2], rtol=1e-15, atol=0)
+        _same_bits(unit[3], unscaled_norms)
 
 
 def _seeding_rows(rng, kind, n, dim):
@@ -643,6 +660,29 @@ class TestWeighted:
             for name in ("weights", "means", "variances"):
                 _same_bits(getattr(weighted, name), getattr(unweighted, name))
 
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_k256_matches_unblocked_on_repeated_rows(self, dim):
+        # Broad, overlapping components centred away from 0: no posterior falls to
+        # the exp(_LOG_FLOOR) floor the unblocked formulas lack, and neither the
+        # means (Σγx) nor the variances (Σγx²/N_k − mean²) cancel, which alone
+        # would put both codes past rtol 1e-12 at dim 64.
+        rng = np.random.default_rng(40 + dim)
+        weights = rng.uniform(0.5, 2.0, 256)
+        book = GmmCodebook(
+            weights / weights.sum(), rng.normal(2.0, 0.2, (256, dim)), rng.uniform(0.8, 1.25, (256, dim)), "video"
+        )
+        rows = rng.normal(2.0, 1.0, (BLOCK + 37, dim)).astype(np.float32).astype(np.float64)
+        counts = rng.integers(1, 10, len(rows))
+        repeated = np.repeat(rows, counts, axis=0)
+        updated, ll = em_step(book, rows, 1e-3, counts)
+        *expected, expected_ll = unblocked_em_step(book.weights, book.means, book.variances, repeated, 1e-3)
+        for got, want in zip((updated.weights, updated.means, updated.variances), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
+        pooled = encode(book, DescriptorSet("s", repeated.astype(np.float32))).values
+        expected_pooled = unblocked_encode(book.weights, book.means, book.variances, repeated)
+        np.testing.assert_allclose(pooled, expected_pooled, rtol=1e-12, atol=0)
+
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 64])
 def test_fits_do_not_depend_on_memory_layout(dim):
@@ -701,11 +741,11 @@ def test_empty_cluster_takes_floored_column_variance(monkeypatch):
 
 
 class TestTerms:
-    """A codebook's parameters are frozen, so the joint terms stored at construction stay current."""
+    """A codebook's parameters are frozen, so the joint terms matrix stored at construction stays current."""
 
     def _assert_current(self, book):
-        for stored, fresh in zip(book.terms, _joint_terms(book)):
-            _same_bits(stored, fresh)
+        assert book.terms.shape == (2 * book.dim + 1, book.n_components)
+        _same_bits(book.terms, _joint_terms(book))
 
     def test_arrays_are_read_only_copies(self):
         rng = np.random.default_rng(22)
@@ -713,10 +753,19 @@ class TestTerms:
         book = GmmCodebook(np.full(4, 0.25), means, rng.uniform(0.5, 2.0, (4, 3)), "audio")
         means[0, 0] = 99.0  # the caller's array stays its own
         assert book.means[0, 0] != 99.0
-        for array in (book.weights, book.means, book.variances, *book.terms):
+        for array in (book.weights, book.means, book.variances, book.terms):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         self._assert_current(book)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_terms_give_the_log_joint(self, dim):
+        rng = np.random.default_rng(24 + dim)
+        book = _random_codebook(rng, k=7, dim=dim)
+        rows = _mixture_rows(rng, book, 50)
+        joint = np.hstack([rows * rows, rows, np.ones((50, 1))]) @ book.terms
+        expected = unblocked_log_joint(book.weights, book.means, book.variances, rows)
+        np.testing.assert_allclose(joint, expected, rtol=1e-12, atol=1e-12)
 
     def test_terms_current_after_em_step_and_read(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -727,8 +776,7 @@ class TestTerms:
         write_codebook(tmp_path / "b.gmm", updated)
         back = read_codebook(tmp_path / "b.gmm")
         self._assert_current(back)
-        for stored, fresh in zip(back.terms, updated.terms):
-            _same_bits(stored, fresh)
+        _same_bits(back.terms, updated.terms)
 
 
 class TestLoglik:
@@ -874,6 +922,13 @@ class TestEncode:
 
 
 class TestIo:
+    @pytest.mark.parametrize(("k", "dim"), [(0, 3), (3, 0), (0, 0)])
+    def test_empty_codebook_rejected(self, k, dim, tmp_path):
+        body = np.full(k, 1.0 / max(k, 1)).tobytes() + bytes(16 * k * dim)
+        (tmp_path / "b.gmm").write_bytes(_CODEBOOK_HEADER.pack(CODEBOOK_MAGIC, k, dim, 0) + body)
+        with pytest.raises(ValueError, match=r"K, dim >= 1"):
+            read_codebook(tmp_path / "b.gmm")
+
     def test_codebook_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
         book = _random_codebook(rng, k=5, dim=4)

@@ -496,7 +496,9 @@ class TestTrain:
                 assert solve["converged"] is False
             for C, _ in record["table"]:
                 assert any(
-                    message.startswith(f"{modality}: ") and f" at C={C:g} " in message and "svm_max_epochs=1 " in message
+                    message.startswith(f"{modality}: ")
+                    and f" at C={C:g} " in message
+                    and "svm_max_epochs=1 " in message
                     for message in caplog.messages
                 ), (modality, C)
 
@@ -633,7 +635,10 @@ class TestEvaluate:
         book = codebook.read_codebook(pipeline.codebook_path(trained, "audio"))
         model = classifier.read_svm_model(pipeline.svm_path(trained, "audio"))
         X = np.stack(
-            [codebook.encode(book, read_descriptors(pipeline.descriptor_path(trained, "audio", s))).values for s in seg_ids]
+            [
+                codebook.encode(book, read_descriptors(pipeline.descriptor_path(trained, "audio", s))).values
+                for s in seg_ids
+            ]
         )
         expected_audio = classifier.normalize_score(model, classifier.decision_distances(model, X))
         assert audio.tolist() == expected_audio.tolist()
@@ -694,7 +699,9 @@ class TestEvaluate:
         shutil.copytree(trained, out_dir)
         expected = pipeline.run_evaluate(corpus, "validation", CONFIG, out_dir)
         with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
-            result = pipeline.run_evaluate(_first_train_label_flipped(corpus), "validation", CONFIG, out_dir, force=True)
+            result = pipeline.run_evaluate(
+                _first_train_label_flipped(corpus), "validation", CONFIG, out_dir, force=True
+            )
         assert result == expected
         assert any("stale" in message and "labels" in message for message in caplog.messages)
 
@@ -720,7 +727,8 @@ class TestEvaluate:
         out_dir = tmp_path / "new-data"
         shutil.copytree(trained, out_dir)
         validation = filter_split(corpus, "validation")
-        assert set(pipeline.run_evaluate(validation, "validation", CONFIG, out_dir).reports) == {"audio", "video", "fused"}
+        reports = pipeline.run_evaluate(validation, "validation", CONFIG, out_dir).reports
+        assert set(reports) == {"audio", "video", "fused"}
         lines = pipeline.run_predict(validation, CONFIG, out_dir).read_text().splitlines()
         assert len(lines) == len(validation) + 1
 

@@ -89,7 +89,10 @@ _DSC2 = struct.Struct("<4sIIQ8s32sI")
     [
         # 10**12 rows of 0-d descriptors and an empty id, which once read as a set of that length
         pytest.param(
-            "crafted.dsc", _DSC2.pack(b"DSC1", 2, 0, 10**12, bytes(8), bytes(32), 0), read_descriptors, "dimension is 0",
+            "crafted.dsc",
+            _DSC2.pack(b"DSC1", 2, 0, 10**12, bytes(8), bytes(32), 0),
+            read_descriptors,
+            "dimension is 0",
             id="DSC1-dim-0",
         ),
         # a version-1 file of four 3-d rows (no extract hash or media digest), as older run directories hold
@@ -98,7 +101,9 @@ _DSC2 = struct.Struct("<4sIIQ8s32sI")
             id="DSC1-version-1",
         ),
         # headerless PCM half a sample long, once numpy's error without the file's name
-        pytest.param("odd.pcm", b"\1\2\3", lambda path: read_pcm(path, path.read_bytes(), 8000), "odd number", id="PCM-odd-bytes"),
+        pytest.param(
+            "odd.pcm", b"\1\2\3", lambda path: read_pcm(path, path.read_bytes(), 8000), "odd number", id="PCM-odd-bytes"
+        ),
     ],
 )
 def test_crafted_file_raises_value_error_naming_it(tmp_path, name, data, read, reason):

@@ -78,7 +78,11 @@ def _centered(extent: int) -> tuple[int, int]:
 
 def _second_derivative_boxes(axis: int, lobe: int, cross: dict[int, int]):
     reach = (3 * lobe - 1) // 2
-    lobes = [(-reach, -reach + lobe, 1.0), (-reach + lobe, -reach + 2 * lobe, -2.0), (-reach + 2 * lobe, reach + 1, 1.0)]
+    lobes = [
+        (-reach, -reach + lobe, 1.0),
+        (-reach + lobe, -reach + 2 * lobe, -2.0),
+        (-reach + 2 * lobe, reach + 1, 1.0),
+    ]
     boxes = []
     area = 3 * lobe
     spans = {}
@@ -363,21 +367,14 @@ def unblocked_em_step(weights, means, variances, data, variance_floor, weight_fl
     return new_weights / new_weights.sum(), new_means, new_variances, float(norm.sum())
 
 
-def unscaled_block_posteriors(rows, matrix, const) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``codebook._block_posteriors`` as it was before it took draw counts: every row counts once."""
-    dim = rows.shape[1]
-    feats = np.empty((rows.shape[0], 2 * dim))
-    feats[:, dim:] = rows
-    np.square(feats[:, dim:], out=feats[:, :dim])
-    post = feats @ matrix
-    post += const
+def unscaled_block_posteriors(rows, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features ``[x², x, 1]``, posteriors divided by their row sums and log normalisers: every row counts once."""
+    feats = np.hstack([rows * rows, rows, np.ones((rows.shape[0], 1))])
+    post = feats @ terms
     peak = post.max(axis=1, keepdims=True)
-    post -= peak
-    np.maximum(post, -600.0, out=post)
-    np.exp(post, out=post)
+    post = np.exp(np.maximum(post - peak, -600.0))
     total = post.sum(axis=1, keepdims=True)
-    post /= total
-    return feats, post, peak[:, 0] + np.log(total[:, 0])
+    return feats, post / total, peak[:, 0] + np.log(total[:, 0])
 
 
 def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
@@ -394,7 +391,8 @@ def unique_rows_encode(codebook, rows) -> np.ndarray:
     pooled = np.zeros(codebook.n_components)
     for start in range(0, distinct.shape[0], BLOCK):
         block = slice(start, start + BLOCK)
-        pooled += _block_posteriors(distinct[block], *terms, counts[block])[1].sum(axis=0)
+        _, post, scale, _ = _block_posteriors(distinct[block], terms, counts[block])
+        pooled += scale @ post
     return pooled / rows.shape[0]
 
 

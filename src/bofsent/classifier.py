@@ -69,8 +69,11 @@ class LinearSvmModel:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 1:
-            raise ValueError("w must be a vector")
+        if self.w.ndim != 1 or self.w.size == 0:
+            raise ValueError("w must be a non-empty vector")
+        if not (np.isfinite(self.w).all() and np.isfinite([self.b, self.score_min, self.score_max]).all()):
+            raise ValueError("w, b and the normalization bounds must be finite")
+        _check_c(self.C)
         if not self.score_min < self.score_max:
             raise ValueError("degenerate normalization bounds (score_min >= score_max)")
 
@@ -79,7 +82,7 @@ class LinearSvmModel:
         return self.w.size
 
 
-def _validate_problem(X: np.ndarray, y: np.ndarray, C: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _validate_problem(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checked ``(X, y)``, ``X`` C-ordered float64 so that no fit depends on its memory layout."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -95,9 +98,12 @@ def _validate_problem(X: np.ndarray, y: np.ndarray, C: float | None = None) -> t
         raise ValueError("labels must be -1 or +1")
     if (y > 0).all() or (y < 0).all():
         raise ValueError("both classes must be present")
-    if C is not None and not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C!r}")
     return X, y
+
+
+def _check_c(C: float) -> None:
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C!r}")
 
 
 def _signed_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,7 +219,8 @@ def train_svm(
     duality gap (P(w, b) - D(a)) / max(1, |P(w, b)|) at which the solve stops;
     the model's ``solve`` records where it ended.
     """
-    X, y = _validate_problem(X, y, C)
+    X, y = _validate_problem(X, y)
+    _check_c(C)
     dim = X.shape[1]
     v, solve = _solve_dual(_signed_rows(X, y), float(C), max_epochs, tol)
     w = v[:dim].copy()

@@ -5,13 +5,14 @@ after a k-means++ seeded k-means warm start. Encoding a descriptor set means
 averaging component posteriors over its rows, producing one simplex vector
 per segment.
 
-A class with too few descriptors for its half of the budget is drawn with
-replacement; its draw is kept as the distinct rows drawn plus how often each
-was drawn. Seeding, the k-means warm start, EM and the log-likelihood take
-those draw counts as integer row weights, so fitting on ``(rows, counts)`` is
-fitting on ``np.repeat(rows, counts, axis=0)`` without building it, and unit
-counts give the bits of an unweighted fit. EM, the log-likelihood and encoding
-share one weighting rule: ``_block_posteriors`` weights row i by count/normaliser.
+Each class's draw is kept as the pool rows it drew, in pool order, plus how
+often each was drawn: counts of 1 for a class with enough rows, draw counts
+for a class with too few, which is drawn with replacement. Seeding, the
+k-means warm start, EM and the log-likelihood take those draw counts as
+integer row weights, so fitting on ``(rows, counts)`` is fitting on
+``np.repeat(rows, counts, axis=0)`` without building it, and unit counts give
+the bits of an unweighted fit. ``_block_posteriors`` weights row i by
+count/normaliser; encoding gives every row a count of 1.
 
 EM, the log-likelihood, k-means assignment and encoding walk their rows in
 blocks of ``BLOCK`` rows. A block's log joint is one product of ``[x², x, 1]``
@@ -91,6 +92,8 @@ class GmmCodebook:
             raise ValueError(f"means and variances must be matching (K, dim) arrays, K, dim >= 1: {self.means.shape}")
         if self.weights.shape != (self.means.shape[0],):
             raise ValueError("weights must be a (K,) vector")
+        if not all(np.isfinite(values).all() for values in (self.weights, self.means, self.variances)):
+            raise ValueError("weights, means and variances must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if (self.weights <= 0).any():
@@ -129,14 +132,13 @@ def sample_balanced(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw budget/2 descriptors per polarity class, uniformly and seeded; returns ``(rows, counts)``.
 
-    A class with enough rows is sampled without replacement: its rows come in
-    draw order, each with count 1. A class with fewer falls back to sampling
-    with replacement, with a logged warning, and contributes the pool rows it
-    drew at least once, in pool order, each with its draw count; no
-    budget-sized copy of it is built. ``np.repeat(rows, counts, axis=0)`` is
-    the drawn sample and ``counts`` sums to ``budget``. Each class's rows
-    available, drawn and kept are logged at INFO. Raises when a class
-    contributes no descriptors at all.
+    A class with enough rows is sampled without replacement; a class with
+    fewer falls back to sampling with replacement, with a logged warning.
+    Either way a class contributes the pool rows it drew at least once, in
+    pool order, each with its draw count; no budget-sized copy of a draw is
+    built. ``np.repeat(rows, counts, axis=0)`` is the drawn sample and
+    ``counts`` sums to ``budget``. Each class's rows available, drawn and kept
+    are logged at INFO. Raises when a class contributes no descriptors at all.
     """
     if budget <= 0 or budget % 2 != 0:
         raise ValueError("budget must be a positive even number")
@@ -159,24 +161,20 @@ def sample_balanced(
     picks = []
     for label, arrays in pools.items():
         available = sum(len(array) for array in arrays)
-        if available >= need:
-            idx = rng.choice(available, size=need, replace=False)
-            counts = np.ones(need, dtype=np.int64)
-        else:
+        if available < need:
             logger.warning(
                 "class %s has %d descriptors for a budget of %d; sampling with replacement",
                 label.name.lower(),
                 available,
                 need,
             )
-            drawn = np.bincount(rng.choice(available, size=need, replace=True), minlength=available)
-            idx = np.flatnonzero(drawn)
-            counts = drawn[idx]
+        drawn = np.bincount(rng.choice(available, size=need, replace=available < need), minlength=available)
+        idx = np.flatnonzero(drawn)
         logger.info(
             "class %s: %d descriptors available, %d drawn, %d rows kept",
             label.name.lower(), available, need, len(idx),
         )
-        picks.append((idx, counts))
+        picks.append((idx, drawn[idx]))
 
     # Filled BLOCK rows at a time: no float32 copy of a class's draw and no
     # second float64 copy of the whole sample.
@@ -205,7 +203,7 @@ def _joint_terms(codebook: GmmCodebook) -> np.ndarray:
     return terms
 
 
-def _block_posteriors(rows: np.ndarray, terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+def _block_posteriors(rows: np.ndarray, terms: np.ndarray, counts: np.ndarray | float) -> tuple[np.ndarray, ...]:
     """Features ``[x², x, 1]``, unnormalised posteriors, row weights and log normalisers of one row block.
 
     The log joint is one matrix product; the posteriors are computed in place
@@ -374,10 +372,13 @@ def initialize_codebook(
     *,
     counts: np.ndarray,
 ) -> GmmCodebook:
-    """Seeded k-means++ plus a short k-means refinement, turned into mixture parameters.
+    """Seeded k-means++ plus ``_KMEANS_WARMUP_ITERS`` Lloyd steps, turned into mixture parameters.
 
-    ``seed`` is anything ``numpy.random.default_rng`` accepts (int or sequence).
-    Row i counts ``counts[i]`` times.
+    The last step's clusters give the codebook: their count-weighted means,
+    their variances about those means (floored) and their weights. A cluster
+    that step leaves empty keeps its center and takes the whole sample's
+    variance. ``seed`` is anything ``numpy.random.default_rng`` accepts (int
+    or sequence). Row i counts ``counts[i]`` times.
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
@@ -390,10 +391,7 @@ def initialize_codebook(
         nonempty = sizes > 0
         centers[nonempty] = sums[nonempty] / sizes[nonempty, None]
 
-    assign = _assign(data, centers)
-    sizes = np.bincount(assign, weights=counts, minlength=n_components)
     sq_sums = _cluster_sums(assign, (col * col * counts for col in data.T), n_components)
-    nonempty = sizes > 0
     variances = np.empty_like(centers)
     variances[nonempty] = np.maximum(
         sq_sums[nonempty] / sizes[nonempty, None] - centers[nonempty] ** 2, variance_floor
@@ -463,9 +461,10 @@ def fit_gmm(
     drops below ``tol``; each restart is logged at INFO, and so is the kept
     one, unless it stopped on ``max_iters``, which is logged at WARNING. The
     variance floor is ``variance_floor_scale * mean(per-dimension data
-    variance)``. Identical seeds and data give bit-identical codebooks,
-    whatever the memory layout of ``data``. No restart with a finite
-    log-likelihood, as under a NaN or infinite floor, raises ``ValueError``.
+    variance)``; a floor that is not finite raises ``ValueError``, and so
+    does a fit in which no restart reaches a finite log-likelihood. Identical
+    seeds and data give bit-identical codebooks, whatever the memory layout of
+    ``data``.
     """
     data = _as_matrix(data)
     counts = _row_counts(counts, data.shape[0])
@@ -478,6 +477,8 @@ def fit_gmm(
     if not all(np.isfinite(data[start : start + BLOCK]).all() for start in range(0, data.shape[0], BLOCK)):
         raise ValueError("data must be finite")
     variance_floor = variance_floor_scale * float(_column_variance(data, counts).mean())
+    if not math.isfinite(variance_floor):
+        raise ValueError(f"variance floor must be finite, got {variance_floor}")
     if variance_floor <= 0.0:
         raise ValueError("degenerate data: zero variance in every dimension")
 
@@ -514,24 +515,13 @@ def fit_gmm(
     return best
 
 
-def _distinct_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-empty matrix in lexicographic order, and how often each occurs.
-
-    The rows and counts of ``np.unique(data, axis=0, return_counts=True)``,
-    from one stable ``lexsort`` over the columns rather than ``np.unique``'s
-    sort of a structured view, which is several times slower on small sets.
-    """
-    ordered = data[np.lexsort(data.T[::-1])]
-    starts = np.flatnonzero(np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
-    return ordered[starts], np.diff(np.append(starts, len(ordered)))
-
-
 def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     """Average the per-descriptor component posteriors into one simplex vector.
 
-    The distinct descriptor rows are put in sorted order (``_distinct_rows``)
-    and their posteriors, computed ``BLOCK`` rows at a time and weighted by each
-    row's count as in EM, are summed. The result is therefore bit-for-bit
+    The descriptor rows are put in lexicographic order by one stable
+    ``lexsort`` and their posteriors, computed ``BLOCK`` rows at a time, are
+    summed with a count of 1 each. Rows that sort equal (equal values; -0.0
+    and 0.0 compare equal) have equal posteriors, so the result is bit-for-bit
     independent of descriptor order, even though a matrix product may round a
     row differently depending on where in the block it sits. Empty sets encode
     to the all-zero vector and are flagged through ``n_descriptors``.
@@ -542,10 +532,9 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
     pooled = np.zeros(codebook.n_components)
     if n == 0:
         return MidLevelVector(values=pooled, n_descriptors=0)
-    rows, counts = _distinct_rows(dset.descriptors)
-    for start in range(0, rows.shape[0], BLOCK):
-        block = slice(start, start + BLOCK)
-        _, post, scale, _ = _block_posteriors(rows[block], codebook.terms, counts[block])
+    rows = dset.descriptors[np.lexsort(dset.descriptors.T[::-1])]
+    for start in range(0, n, BLOCK):
+        _, post, scale, _ = _block_posteriors(rows[start : start + BLOCK], codebook.terms, 1.0)
         pooled += scale @ post
     return MidLevelVector(values=pooled / n, n_descriptors=n)
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from bofsent import classifier
 from bofsent.classifier import (
+    _SVM_HEADER,
     C_EXPONENT_MAX,
     C_EXPONENT_MIN,
+    SVM_MAGIC,
     LinearSvmModel,
     cv_accuracy_table,
     decision_distances,
@@ -352,3 +354,24 @@ class TestModelIo:
         assert back.b == model.b
         assert back.C == model.C
         assert (back.score_min, back.score_max) == (model.score_min, model.score_max)
+
+    @pytest.mark.parametrize(
+        ("w", "b", "C", "score_min", "message"),
+        [
+            ([np.nan, 1.0], 0.5, 2.0, -1.0, "must be finite"),
+            ([1.0, 1.0], np.inf, 2.0, -1.0, "must be finite"),
+            ([1.0, 1.0], 0.5, 2.0, -np.inf, "must be finite"),
+            ([1.0, 1.0], 0.5, 0.0, -1.0, "C must be finite and positive"),
+            ([1.0, 1.0], 0.5, -2.0, -1.0, "C must be finite and positive"),
+            ([1.0, 1.0], 0.5, np.nan, -1.0, "C must be finite and positive"),
+            ([], 0.5, 2.0, -1.0, "non-empty"),
+        ],
+        ids=["nan-w", "inf-b", "inf-bound", "zero-C", "negative-C", "nan-C", "dim-0"],
+    )
+    def test_bad_model_file_rejected(self, tmp_path, w, b, C, score_min, message):
+        # An infinite b would make every normalized score 1.0, every segment positive.
+        path = tmp_path / "m.svm"
+        header = _SVM_HEADER.pack(SVM_MAGIC, len(w), b, C, score_min, 1.0)
+        path.write_bytes(header + np.asarray(w, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match=message):
+            read_svm_model(path)

@@ -17,7 +17,6 @@ from bofsent.codebook import (
     _assign,
     _block_posteriors,
     _column_variance,
-    _distinct_rows,
     _draw,
     _joint_terms,
     _kmeans_plus_plus,
@@ -40,7 +39,6 @@ from util import (
     unblocked_encode,
     unblocked_log_joint,
     unblocked_logsumexp_rows,
-    unique_rows_encode,
     unscaled_block_posteriors,
 )
 
@@ -137,8 +135,8 @@ class TestSampleBalanced:
         sample = np.repeat(rows, counts, axis=0)
         # the same multiset as the reference draw ...
         assert np.array_equal(sample[np.lexsort(sample.T)], expected[np.lexsort(expected.T)])
-        # ... in draw order for a class with enough rows, in pool order for one drawn with replacement
-        in_order = [pool[idx if len(pool) >= need else np.sort(idx)] for pool, idx in draws]
+        # ... in pool order, whether or not the class was drawn with replacement
+        in_order = [pool[np.sort(idx)] for pool, idx in draws]
         assert np.array_equal(sample, np.concatenate(in_order, dtype=np.float64))
         assert len(rows) == need + (len(np.unique(draws[1][1])) if n_neg < need else need)
 
@@ -233,8 +231,8 @@ class TestFitGmm:
     @pytest.mark.parametrize(
         ("dim", "k", "digest"),
         [
-            (3, 8, "6ab8aa623cd933f143f83025ec9d410ed6958bd17b4c7f707a40981b6106b4e2"),
-            (64, 16, "f5e694f36186cf669d648e1d2350887e6ec88b0c3202b3a8c04366459a0f608d"),
+            (3, 8, "9ce49d09b24a439e8c671cfadf987139cfb249807c06588e9874766212e5328a"),
+            (64, 16, "3aa0de6f8ee43a43334ba63cacce0f5b9e2b294b29dbef05b2b72a21088068c7"),
         ],
     )
     def test_unit_counts_keep_their_digest(self, dim, k, digest, tmp_path):
@@ -263,11 +261,9 @@ class TestFitGmm:
             fit_gmm(np.ones((50, 2)), 2, seed=0, counts=_ones(range(50)))
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_floor_scale_raises_value_error(self, scale):
-        # Every restart's log-likelihood is NaN, so none is kept.
         data = np.random.default_rng(0).normal(size=(200, 2))
-        with pytest.raises(ValueError, match="no restart reached a finite log-likelihood"):
+        with pytest.raises(ValueError, match="variance floor must be finite"):
             fit_gmm(data, 2, seed=0, variance_floor_scale=scale, counts=_ones(data))
 
     @pytest.mark.parametrize(
@@ -723,7 +719,7 @@ def test_empty_cluster_takes_floored_column_variance(monkeypatch):
     def last_call_empties_cluster(rows, centers):
         assign = _assign(rows, centers)
         assign_calls.append((assign == 3).sum())
-        if len(assign_calls) == _KMEANS_WARMUP_ITERS + 1:
+        if len(assign_calls) == _KMEANS_WARMUP_ITERS:
             assign[assign == 3] = 0
         return assign
 
@@ -732,12 +728,47 @@ def test_empty_cluster_takes_floored_column_variance(monkeypatch):
     assert variance_calls == []
     monkeypatch.setattr(codebook, "_assign", last_call_empties_cluster)
     book = initialize_codebook(data, 4, 0, floor, counts=counts)
-    assert len(assign_calls) == _KMEANS_WARMUP_ITERS + 1 and assign_calls[-1] > 0
+    assert len(assign_calls) == _KMEANS_WARMUP_ITERS and assign_calls[-1] > 0
     assert len(variance_calls) == 1
     expected = np.maximum(_column_variance(data, counts), floor)
     assert expected[0] == floor and (expected[1:] > floor).all()
     _same_bits(book.variances[3], expected)
     assert book.weights[3] < 1e-11
+
+
+def test_initial_codebook_is_its_last_lloyd_step(monkeypatch):
+    # Audio-shaped rows (f0 / f0_max, 0 when unvoiced; voicing; loudness), on
+    # which one more assignment after the last Lloyd step moves rows: the
+    # codebook must describe the clusters of the last assignment made.
+    rng = np.random.default_rng(11)
+    n, k = 3000, 16
+    voiced = rng.random(n) < 0.6
+    data = np.column_stack(
+        [np.where(voiced, rng.uniform(0.2, 0.6, n), 0.0), rng.beta(2.0, 2.0, n), rng.uniform(0.3, 0.7, n)]
+    ).astype(np.float32).astype(np.float64)
+    counts = rng.integers(1, 4, n)
+    floor = 1e-4 * float(_column_variance(data, counts).mean())
+    last = []
+
+    def recorded(rows, centers):
+        last[:] = [_assign(rows, centers)]
+        return last[0]
+
+    monkeypatch.setattr(codebook, "_assign", recorded)
+    book = initialize_codebook(data, k, 7, floor, counts=counts)
+    clusters = [last[0] == c for c in range(k)]
+    sizes = np.array([counts[members].sum() for members in clusters])
+    assert (sizes > 0).all()
+    means = np.array([np.average(data[members], axis=0, weights=counts[members]) for members in clusters])
+    variances = np.array(
+        [
+            np.average((data[members] - mean) ** 2, axis=0, weights=counts[members])
+            for members, mean in zip(clusters, means)
+        ]
+    )
+    np.testing.assert_allclose(book.means, means, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(book.variances, np.maximum(variances, floor), rtol=1e-9, atol=0)
+    np.testing.assert_allclose(book.weights, sizes / counts.sum(), rtol=1e-9, atol=0)
 
 
 class TestTerms:
@@ -898,21 +929,19 @@ class TestEncode:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 80),
+        n=st.integers(1, 2 * BLOCK + 1),
         dim=st.sampled_from([1, 3, 64]),
     )
-    def test_distinct_rows_match_unique(self, seed, n, dim):
+    def test_repeated_rows_keep_order_free_bits(self, seed, n, dim):
         # Few values, so rows repeat and -0.0 meets 0.0 in the same column.
         rng = np.random.default_rng(seed)
         book = _random_codebook(rng, k=6, dim=dim)
         pool = rng.choice(np.array([-1.5, -0.0, 0.0, 0.5, 2.0], dtype=np.float32), (max(1, n // 3), dim))
         rows = pool[rng.integers(len(pool), size=n)]
-        distinct, counts = _distinct_rows(rows)
-        expected_rows, expected_counts = np.unique(rows, axis=0, return_counts=True)
-        assert np.array_equal(distinct, expected_rows) and np.array_equal(counts, expected_counts)
-        expected = unique_rows_encode(book, rows).tobytes()
-        for order in (np.arange(n), rng.permutation(n)):
-            assert encode(book, DescriptorSet("s", rows[order])).values.tobytes() == expected
+        pooled = encode(book, DescriptorSet("s", rows)).values
+        assert encode(book, DescriptorSet("s", rows[rng.permutation(n)])).values.tobytes() == pooled.tobytes()
+        expected = unblocked_encode(book.weights, book.means, book.variances, rows)
+        np.testing.assert_allclose(pooled, expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)
@@ -922,6 +951,19 @@ class TestEncode:
 
 
 class TestIo:
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("weights", np.nan), ("means", np.nan), ("means", -np.inf), ("variances", np.inf), ("variances", np.nan)],
+    )
+    def test_non_finite_parameters_rejected(self, name, value, tmp_path):
+        # NaN compares false in every range check, and inf is positive.
+        params = {"weights": np.full(3, 1.0 / 3.0), "means": np.zeros((3, 2)), "variances": np.ones((3, 2))}
+        params[name].flat[1] = value
+        body = b"".join(params[part].astype("<f8").tobytes() for part in ("weights", "means", "variances"))
+        (tmp_path / "b.gmm").write_bytes(_CODEBOOK_HEADER.pack(CODEBOOK_MAGIC, 3, 2, 0) + body)
+        with pytest.raises(ValueError, match="weights, means and variances must be finite"):
+            read_codebook(tmp_path / "b.gmm")
+
     @pytest.mark.parametrize(("k", "dim"), [(0, 3), (3, 0), (0, 0)])
     def test_empty_codebook_rejected(self, k, dim, tmp_path):
         body = np.full(k, 1.0 / max(k, 1)).tobytes() + bytes(16 * k * dim)

@@ -1,7 +1,8 @@
-"""Every public top-level function and class in ``src/bofsent`` is used by the program or the benchmark.
+"""Every top-level function and class in ``src/bofsent`` is used by the program or the benchmark.
 
 A name that only its own definition and the tests mention is dead code kept
-alive by its tests.
+alive by its tests. A public name may be used by the benchmark; a private
+one (leading underscore) must be used by the program itself.
 """
 import ast
 from pathlib import Path
@@ -33,10 +34,14 @@ def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
-def test_public_names_are_used_outside_their_definition():
+def _unused(private: bool, patterns: tuple[str, ...]) -> list[str]:
+    """``module.name`` of each public or private definition in ``src/bofsent`` that no file of ``patterns`` uses.
+
+    The definition's own module counts outside the definition's subtree.
+    """
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for pattern in ("src/bofsent/*.py", "bench/*.py")
+        for pattern in patterns
         for path in sorted(ROOT.glob(pattern))
     }
     everywhere = {path: _names(tree) for path, tree in trees.items()}
@@ -46,8 +51,18 @@ def test_public_names_are_used_outside_their_definition():
             continue
         elsewhere = set().union(*(names for other, names in everywhere.items() if other != path))
         for node in _defines(tree):
-            if node.name.startswith("_"):
+            if node.name.startswith("_") != private:
                 continue
             if node.name not in elsewhere | _names(tree, skip=node):
                 unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_public_names_are_used_outside_their_definition():
+    unused = _unused(False, ("src/bofsent/*.py", "bench/*.py"))
     assert unused == [], f"public names only their own definition mentions: {unused}"
+
+
+def test_private_names_are_used_by_the_program():
+    unused = _unused(True, ("src/bofsent/*.py",))
+    assert unused == [], f"private names only their own definition and the tests mention: {unused}"

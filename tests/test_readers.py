@@ -35,7 +35,7 @@ def _codebook(rng, n):
 
 
 def _svm(rng, n):
-    return LinearSvmModel(w=rng.standard_normal(n), b=0.5, C=2.0, score_min=-1.0, score_max=1.0)
+    return LinearSvmModel(w=rng.standard_normal(n + 1), b=0.5, C=2.0, score_min=-1.0, score_max=1.0)
 
 
 # name -> (make a valid object, writer, reader, whether appended bytes must be rejected)

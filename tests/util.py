@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from bofsent import video
-from bofsent.codebook import BLOCK, _block_posteriors, _joint_terms
+from bofsent.codebook import BLOCK
 from bofsent.metrics import ConfusionMatrix, MetricReport, mae, multiclass_accuracy, pearson, prf1
 from bofsent.prosody import PcmSignal
 from bofsent.video import FrameVolume, _det3_symmetric, _odd
@@ -382,18 +382,6 @@ def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
     joint = unblocked_log_joint(weights, means, variances, np.asarray(rows, dtype=np.float64))
     post = np.exp(joint - unblocked_logsumexp_rows(joint)[:, None])
     return np.array([math.fsum(column) for column in post.T]) / post.shape[0]
-
-
-def unique_rows_encode(codebook, rows) -> np.ndarray:
-    """``codebook.encode``'s values as they were computed from ``np.unique(rows, axis=0)``."""
-    distinct, counts = np.unique(rows, axis=0, return_counts=True)
-    terms = _joint_terms(codebook)
-    pooled = np.zeros(codebook.n_components)
-    for start in range(0, distinct.shape[0], BLOCK):
-        block = slice(start, start + BLOCK)
-        _, post, scale, _ = _block_posteriors(distinct[block], terms, counts[block])
-        pooled += scale @ post
-    return pooled / rows.shape[0]
 
 
 def kmeans_plus_plus_reference(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

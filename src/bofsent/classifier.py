@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import names_file, read_framed, split_body, write_framed
 from .metrics import mean_rate
 
 SVM_MAGIC = b"SVM1"
@@ -303,20 +303,12 @@ def cv_accuracy_table(
 
 
 def write_svm_model(path: str | Path, model: LinearSvmModel) -> None:
-    with atomic_open(path) as fh:
-        fh.write(
-            _SVM_HEADER.pack(SVM_MAGIC, model.dim, model.b, model.C, model.score_min, model.score_max)
-        )
-        fh.write(np.ascontiguousarray(model.w, dtype="<f8").tobytes())
+    fields = model.dim, model.b, model.C, model.score_min, model.score_max
+    write_framed(path, SVM_MAGIC, _SVM_HEADER, fields, np.asarray(model.w, dtype="<f8"))
 
 
+@names_file
 def read_svm_model(path: str | Path) -> LinearSvmModel:
-    data = Path(path).read_bytes()
-    if len(data) < _SVM_HEADER.size or data[:4] != SVM_MAGIC:
-        raise ValueError(f"{path}: not an SVM model file")
-    _, dim, b, C, score_min, score_max = _SVM_HEADER.unpack_from(data)
-    body = data[_SVM_HEADER.size :]
-    if len(body) != 8 * dim:
-        raise ValueError(f"{path}: truncated weight payload")
-    w = np.frombuffer(body, dtype="<f8").copy()
+    (dim, b, C, score_min, score_max), body = read_framed(Path(path).read_bytes(), SVM_MAGIC, _SVM_HEADER)
+    (w,) = split_body(body, ("<f8", (dim,)))
     return LinearSvmModel(w=w, b=b, C=C, score_min=score_min, score_max=score_max)

@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import names_file, read_framed, split_body, write_framed
 from .corpus import Polarity
 from .descriptors import DescriptorSet
 
@@ -43,9 +43,9 @@ logger = logging.getLogger(__name__)
 
 CODEBOOK_MAGIC = b"GMM1"
 _CODEBOOK_HEADER = struct.Struct("<4sIIB")
-_MODALITY_TAGS = {"audio": 0, "video": 1}
-_TAG_MODALITIES = {v: k for k, v in _MODALITY_TAGS.items()}
+_MODALITY_TAGS = ("audio", "video")  # a codebook file's modality tag indexes this
 
+MIN_ROWS_PER_COMPONENT = 10  # sampled rows a fit needs per component; PipelineConfig checks its budget by it
 _WEIGHT_FLOOR = 1e-12
 _KMEANS_WARMUP_ITERS = 10
 # Seeded restarts per fit; the one with the highest final log-likelihood is kept.
@@ -451,7 +451,7 @@ def fit_gmm(
 
     Row i of ``data`` counts ``counts[i]`` times: a class that
     ``sample_balanced`` drew with replacement is fitted on its distinct rows,
-    weighted by their draw counts. The "10 rows per component" check reads the
+    weighted by their draw counts. The ``MIN_ROWS_PER_COMPONENT`` check reads the
     total count; the "fewer than K distinct rows" check, the finiteness check
     and the zero-variance check read the rows.
 
@@ -472,8 +472,9 @@ def fit_gmm(
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
     total = counts.sum()
-    if total < 10 * n_components:
-        raise ValueError(f"need at least {10 * n_components} rows to fit {n_components} components, got {total}")
+    needed = MIN_ROWS_PER_COMPONENT * n_components
+    if total < needed:
+        raise ValueError(f"need at least {needed} rows to fit {n_components} components, got {total}")
     if not all(np.isfinite(data[start : start + BLOCK]).all() for start in range(0, data.shape[0], BLOCK)):
         raise ValueError("data must be finite")
     variance_floor = variance_floor_scale * float(_column_variance(data, counts).mean())
@@ -540,29 +541,15 @@ def encode(codebook: GmmCodebook, dset: DescriptorSet) -> MidLevelVector:
 
 
 def write_codebook(path: str | Path, codebook: GmmCodebook) -> None:
-    with atomic_open(path) as fh:
-        fh.write(
-            _CODEBOOK_HEADER.pack(
-                CODEBOOK_MAGIC, codebook.n_components, codebook.dim, _MODALITY_TAGS[codebook.modality]
-            )
-        )
-        fh.write(np.ascontiguousarray(codebook.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(codebook.means, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(codebook.variances, dtype="<f8").tobytes())
+    fields = codebook.n_components, codebook.dim, _MODALITY_TAGS.index(codebook.modality)
+    params = (np.asarray(part, dtype="<f8") for part in (codebook.weights, codebook.means, codebook.variances))
+    write_framed(path, CODEBOOK_MAGIC, _CODEBOOK_HEADER, fields, *params)
 
 
+@names_file
 def read_codebook(path: str | Path) -> GmmCodebook:
-    data = Path(path).read_bytes()
-    if len(data) < _CODEBOOK_HEADER.size or data[:4] != CODEBOOK_MAGIC:
-        raise ValueError(f"{path}: not a codebook file")
-    _, k, dim, tag = _CODEBOOK_HEADER.unpack_from(data)
-    if tag not in _TAG_MODALITIES:
-        raise ValueError(f"{path}: unknown modality tag {tag}")
-    body = data[_CODEBOOK_HEADER.size :]
-    if len(body) != 8 * (k + 2 * k * dim):
-        raise ValueError(f"{path}: expected {8 * (k + 2 * k * dim)} codebook bytes, got {len(body)}")
-    floats = np.frombuffer(body, dtype="<f8")
-    weights = floats[:k].copy()
-    means = floats[k : k + k * dim].reshape(k, dim).copy()
-    variances = floats[k + k * dim :].reshape(k, dim).copy()
-    return GmmCodebook(weights=weights, means=means, variances=variances, modality=_TAG_MODALITIES[tag])
+    (k, dim, tag), body = read_framed(Path(path).read_bytes(), CODEBOOK_MAGIC, _CODEBOOK_HEADER)
+    if tag >= len(_MODALITY_TAGS):
+        raise ValueError(f"unknown modality tag {tag}")
+    weights, means, variances = split_body(body, ("<f8", (k,)), ("<f8", (k, dim)), ("<f8", (k, dim)))
+    return GmmCodebook(weights=weights, means=means, variances=variances, modality=_MODALITY_TAGS[tag])

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import classifier, fusion
+from . import classifier, codebook, fusion
 from .corpus import Manifest, filter_split, from_json
 from .prosody import ProsodyConfig
 from .video import DetectorConfig
@@ -51,6 +51,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} {getattr(self, name)} must be at least 1")
         if self.sample_budget < 1 or self.sample_budget % 2:
             raise ValueError(f"sample_budget {self.sample_budget} must be a positive even number")
+        min_budget = codebook.MIN_ROWS_PER_COMPONENT * self.codebook_size
+        if self.sample_budget < min_budget:
+            raise ValueError(f"sample_budget {self.sample_budget} is below the {min_budget} rows codebook_size needs")
         for name in ("gmm_tol", "svm_tol"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} {getattr(self, name)} must be finite and at least 0")

@@ -10,6 +10,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
+from . import atomic
+
 SPLITS = ("train", "validation", "test")
 SENTIMENT_MIN = -3.0
 SENTIMENT_MAX = 3.0
@@ -171,13 +173,12 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest in the same line-delimited format ``load_manifest`` reads."""
-    path = Path(path)
+    """Write a manifest atomically, in the same line-delimited format ``load_manifest`` reads."""
     lines = []
     for seg in manifest:
         record = {key: getattr(seg, f.name) for key, f in _json_fields(Segment).items()}
         lines.append(json.dumps({key: value for key, value in record.items() if value is not None}, ensure_ascii=False))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    atomic.write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def filter_split(manifest: Manifest, split: str) -> Manifest:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import names_file, read_framed, split_body, write_framed
 
 DESCRIPTOR_MAGIC = b"DSC1"
 DESCRIPTOR_VERSION = 2
@@ -42,32 +42,20 @@ class DescriptorSet:
         return self.descriptors.shape[0]
 
 
-def _write_payload(fh, dset: DescriptorSet) -> None:
+def write_descriptors(path: str | Path, dset: DescriptorSet) -> None:
     seg_id = dset.segment_id.encode("utf-8")
     provenance = bytes.fromhex(dset.extract_hash), bytes.fromhex(dset.media_digest)
-    fh.write(_HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.dim, len(dset), *provenance, len(seg_id)))
-    fh.write(seg_id)
-    fh.write(np.ascontiguousarray(dset.descriptors, dtype="<f4").tobytes())
+    fields = DESCRIPTOR_VERSION, dset.dim, len(dset), *provenance, len(seg_id)
+    write_framed(path, DESCRIPTOR_MAGIC, _HEADER, fields, seg_id, dset.descriptors.astype("<f4", copy=False))
 
 
-def write_descriptors(path: str | Path, dset: DescriptorSet) -> None:
-    """Write atomically: ``path`` is either absent, its old content or the whole new file."""
-    with atomic_open(path) as fh:
-        _write_payload(fh, dset)
-
-
+@names_file
 def read_descriptors(path: str | Path) -> DescriptorSet:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or data[:4] != DESCRIPTOR_MAGIC:
-        raise ValueError(f"{path}: not a descriptor file")
-    _, version, dim, count, extract_hash, media_digest, id_len = _HEADER.unpack_from(data)
+    fields, body = read_framed(Path(path).read_bytes(), DESCRIPTOR_MAGIC, _HEADER)
+    version, dim, count, extract_hash, media_digest, id_len = fields
     if version != DESCRIPTOR_VERSION:
-        raise ValueError(f"{path}: unsupported descriptor version {version}")
+        raise ValueError(f"unsupported descriptor version {version}")
     if dim == 0:
-        raise ValueError(f"{path}: descriptor dimension is 0")
-    expected = _HEADER.size + id_len + 4 * count * dim
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(data)}")
-    seg_id = data[_HEADER.size : _HEADER.size + id_len].decode("utf-8")
-    arr = np.frombuffer(data[_HEADER.size + id_len :], dtype="<f4").reshape(count, dim).copy()
-    return DescriptorSet(seg_id, arr, extract_hash.hex(), media_digest.hex())
+        raise ValueError("descriptor dimension is 0")
+    seg_id, rows = split_body(body, ("u1", (id_len,)), ("<f4", (count, dim)))
+    return DescriptorSet(seg_id.tobytes().decode("utf-8"), rows, extract_hash.hex(), media_digest.hex())

@@ -63,7 +63,6 @@ def load_state(out_dir: Path) -> dict:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -98,7 +97,6 @@ def _extract_one(segment, modality: str, config: PipelineConfig, current: str, m
         rows = extract_audio_descriptors(read_pcm(media, data, segment.sample_rate), config.audio)
     else:
         rows = extract_video_descriptors(read_frame_volume(media, data), config.video)
-    dst.parent.mkdir(parents=True, exist_ok=True)
     write_descriptors(dst, DescriptorSet(segment.id, rows, current, digest))
 
 
@@ -255,7 +253,6 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir: str | Path, f
 
     state_path = out_dir / "artifacts.json"
     state_path.unlink(missing_ok=True)
-    out_dir.joinpath("models").mkdir(parents=True, exist_ok=True)
     for modality, (book, model, record) in fitted.items():
         codebook.write_codebook(codebook_path(out_dir, modality), book)
         classifier.write_svm_model(svm_path(out_dir, modality), model)
@@ -331,7 +328,6 @@ def _fuse_and_write(
     for segment, a, v, f, pos, sent in zip(segments, *(column.tolist() for column in columns)):
         lines.append(f"{segment.id}\t{a!r}\t{v!r}\t{f!r}\t{'positive' if pos else 'negative'}\t{sent!r}")
     path = out_dir / "predictions" / f"{name}.tsv"
-    path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(path, "\n".join(lines) + "\n")
     return positive, sentiment, path
 
@@ -377,7 +373,6 @@ def run_evaluate(
 
     reports: dict[str, metrics.MetricReport] = {}
     reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
     for modality in MODALITIES:
         distances, confidences = scores[modality]
         reports[modality] = metrics.compute_report(

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import names_file, read_framed, split_body, write_framed
+
 PCM_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sIQ")
 _INT16_SCALE = 32767.0
@@ -212,31 +214,24 @@ def write_pcm(path: str | Path, signal: PcmSignal) -> None:
     """Write audio as self-describing PCM: magic, rate, count, 16-bit samples."""
     samples = np.clip(np.asarray(signal.samples, dtype=np.float64), -1.0, 1.0)
     ints = np.round(samples * _INT16_SCALE).astype("<i2")
-    with Path(path).open("wb") as fh:
-        fh.write(_PCM_HEADER.pack(PCM_MAGIC, signal.sample_rate, ints.size))
-        fh.write(ints.tobytes())
+    write_framed(path, PCM_MAGIC, _PCM_HEADER, (signal.sample_rate, ints.size), ints)
 
 
+@names_file
 def read_pcm(path: str | Path, data: bytes, sample_rate: int | None = None) -> PcmSignal:
     """Parse PCM audio ``data`` read from ``path``, self-describing (magic header) or headerless.
 
-    Headerless files need ``sample_rate``; 16-bit little-endian samples are
-    rescaled to [-1, 1]. ``path`` only names the file in errors.
+    Headerless files need ``sample_rate``, and bytes past a header's sample count are ignored. 16-bit
+    little-endian samples are rescaled to [-1, 1]; ``path`` only names the file in errors.
     """
     if data[:4] == PCM_MAGIC:
-        if len(data) < _PCM_HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        _, rate, count = _PCM_HEADER.unpack_from(data)
-        body = data[_PCM_HEADER.size :]
-        if len(body) < 2 * count:
-            raise ValueError(f"{path}: expected {count} samples, file too short")
-        ints = np.frombuffer(body, dtype="<i2", count=count)
+        (rate, count), body = read_framed(data, PCM_MAGIC, _PCM_HEADER)
+    elif sample_rate is None:
+        raise ValueError("headerless PCM requires an explicit sample rate")
+    elif len(data) % 2:
+        raise ValueError(f"headerless PCM holds an odd number of bytes ({len(data)})")
     else:
-        if sample_rate is None:
-            raise ValueError(f"{path}: headerless PCM requires an explicit sample rate")
-        if len(data) % 2:
-            raise ValueError(f"{path}: headerless PCM holds an odd number of bytes ({len(data)})")
-        rate = sample_rate
-        ints = np.frombuffer(data, dtype="<i2")
+        rate, count, body = sample_rate, len(data) // 2, data
+    (ints,) = split_body(body[: 2 * count], ("<i2", (count,)))
     samples = np.clip(ints.astype(np.float64) / _INT16_SCALE, -1.0, 1.0)
     return PcmSignal(samples=samples, sample_rate=int(rate))

@@ -92,9 +92,6 @@ def generate_corpus(out_dir: str | Path, cfg: SynthConfig = SynthConfig(), seed:
     split assignment is train first, then validation, then test.
     """
     out_dir = Path(out_dir)
-    (out_dir / "audio").mkdir(parents=True, exist_ok=True)
-    (out_dir / "video").mkdir(parents=True, exist_ok=True)
-
     segments = []
     for i in range(cfg.n_segments):
         seg_id = f"seg{i:04d}"

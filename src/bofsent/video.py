@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import names_file, read_framed, split_body, write_framed
+
 VOLUME_MAGIC = b"FVL1"
 _VOLUME_HEADER = struct.Struct("<4sIIII")
 
@@ -392,21 +394,13 @@ def extract_video_descriptors(volume: FrameVolume, config: DetectorConfig = Dete
 
 def write_frame_volume(path: str | Path, volume: FrameVolume) -> None:
     """Write a volume as raw bytes: magic, T/H/W, frame rate in mHz, u8 intensities."""
-    t, h, w = volume.shape
-    rate_milli = int(round(volume.frame_rate * 1000))
     data = np.round(np.clip(volume.frames, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with Path(path).open("wb") as fh:
-        fh.write(_VOLUME_HEADER.pack(VOLUME_MAGIC, t, h, w, rate_milli))
-        fh.write(data.tobytes())
+    write_framed(path, VOLUME_MAGIC, _VOLUME_HEADER, (*volume.shape, round(volume.frame_rate * 1000)), data)
 
 
+@names_file
 def read_frame_volume(path: str | Path, data: bytes) -> FrameVolume:
     """Parse a frame volume from ``data`` read from ``path``; ``path`` only names the file in errors."""
-    if len(data) < _VOLUME_HEADER.size or data[:4] != VOLUME_MAGIC:
-        raise ValueError(f"{path}: not a frame volume file")
-    _, t, h, w, rate_milli = _VOLUME_HEADER.unpack_from(data)
-    body = data[_VOLUME_HEADER.size :]
-    if len(body) != t * h * w:
-        raise ValueError(f"{path}: expected {t * h * w} intensity bytes, got {len(body)}")
-    frames = np.frombuffer(body, dtype=np.uint8).reshape(t, h, w).astype(np.float64) / 255.0
-    return FrameVolume(frames=frames, frame_rate=rate_milli / 1000.0)
+    (t, h, w, rate_milli), body = read_framed(data, VOLUME_MAGIC, _VOLUME_HEADER)
+    (intensities,) = split_body(body, ("u1", (t, h, w)))
+    return FrameVolume(frames=intensities / 255.0, frame_rate=rate_milli / 1000.0)

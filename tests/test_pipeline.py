@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bofsent import atomic, classifier, cli, codebook, descriptors, fusion, pipeline
+from bofsent import atomic, classifier, cli, codebook, fusion, pipeline
 from bofsent.classifier import LinearSvmModel, write_svm_model
 from bofsent.codebook import GmmCodebook, write_codebook
 from bofsent.config import (
@@ -25,9 +25,9 @@ from bofsent.config import (
 from bofsent.corpus import Manifest, Polarity, Segment, filter_split, load_manifest, save_manifest
 from bofsent.descriptors import DescriptorSet, read_descriptors, write_descriptors
 from bofsent.fusion import score_level_fuse
-from bofsent.prosody import ProsodyConfig
+from bofsent.prosody import PcmSignal, ProsodyConfig, write_pcm
 from bofsent.synth import SynthConfig, generate_corpus
-from bofsent.video import DetectorConfig
+from bofsent.video import DetectorConfig, FrameVolume, write_frame_volume
 
 SYNTH = SynthConfig(n_train=24, n_validation=12, duration=0.8, frames=14, height=36, width=36)
 CONFIG = PipelineConfig(
@@ -106,12 +106,15 @@ class TestConfig:
             ({"svm_max_epochs": 0}, "svm_max_epochs 0 must be at least 1"),
             ({"sample_budget": 3}, "sample_budget 3 must be a positive even number"),
             ({"sample_budget": 0}, "sample_budget 0 must be a positive even number"),
+            ({"sample_budget": 2}, "sample_budget 2 is below the 2560 rows codebook_size needs"),
+            ({"codebook_size": 8, "sample_budget": 78}, "sample_budget 78 is below the 80 rows"),
             ({"gmm_tol": float("inf")}, "gmm_tol inf must be finite and at least 0"),
             ({"svm_tol": -1e-6}, "svm_tol -1e-06 must be finite and at least 0"),
         ],
         ids=["no-em-iterations", "no-folds", "one-fold", "empty-c-grid", "overflowing-c", "zero-c", "nan-floor",
              "infinite-floor", "zero-floor", "negative-floor", "tiny-theta-step", "empty-codebook", "no-svm-epochs",
-             "odd-budget", "zero-budget", "infinite-gmm-tol", "negative-svm-tol"],
+             "odd-budget", "zero-budget", "budget-under-codebook", "budget-one-row-short", "infinite-gmm-tol",
+             "negative-svm-tol"],
     )
     def test_unusable_training_settings_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -366,26 +369,40 @@ class TestExtract:
         small = Manifest(segments=corpus.segments[:3], base_dir=corpus.base_dir)
         victim = small.segments[1].id
         out = tmp_path / "crash"
-        write_payload = descriptors._write_payload
 
-        def crash_midway(fh, dset):
-            if dset.segment_id == victim:
-                fh.write(b"DSC1")  # part of the header, then the write dies
-                raise OSError("simulated crash")
-            write_payload(fh, dset)
+        def crash_midway(path, mode):
+            # The shared writer writes "DSC1", part of the header, then the write dies.
+            return _DiesAfterFourBytes(open(path, mode)) if path.name == f"{victim}.dsc.tmp" else open(path, mode)
 
-        monkeypatch.setattr(descriptors, "_write_payload", crash_midway)
+        monkeypatch.setattr(atomic, "open", crash_midway, raising=False)
         first = pipeline.run_extract(small, CONFIG, out, modalities=("audio",))
         assert set(first.failures) == {f"audio:{victim}"}
         assert sorted(p.name for p in (out / "descriptors" / "audio").iterdir()) == sorted(
             f"{s.id}.dsc" for s in small if s.id != victim
         )
 
-        monkeypatch.setattr(descriptors, "_write_payload", write_payload)
+        monkeypatch.undo()
         second = pipeline.run_extract(small, CONFIG, out, modalities=("audio",))
         assert second.ok
         assert second.extracted == [f"audio:{victim}"]
         assert len(read_descriptors(pipeline.descriptor_path(out, "audio", victim))) > 0
+
+
+class _DiesAfterFourBytes:
+    """A file whose first write stores four bytes and then raises, as a crash mid-write would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:4])
+        raise OSError("simulated crash")
 
 
 def _codebook(scale):
@@ -409,6 +426,13 @@ ARTIFACT_WRITERS = {
     ),
     "json": (pipeline._write_json, {"theta": 0.2}, {"theta": 0.8, "split": "validation"}),
     "text": (atomic.write_text, "old report\n", "new report, longer than the old one\n"),
+    "pcm": (write_pcm, PcmSignal(np.zeros(4), 8000), PcmSignal(np.full(6, 0.5), 16000)),
+    "volume": (write_frame_volume, FrameVolume(np.zeros((3, 16, 16)), 10.0), FrameVolume(np.ones((4, 16, 16)), 12.5)),
+    "manifest": (
+        lambda path, manifest: save_manifest(manifest, path),
+        Manifest(segments=(Segment("a", "a.pcm", "a.fvl", 1.0, "train"),)),
+        Manifest(segments=(Segment("b", "b.pcm", "b.fvl", -1.0, "validation"), Segment("c", "c", "c", 0.5, "test"))),
+    ),
 }
 
 
@@ -419,22 +443,7 @@ class TestAtomicWrites:
         path = tmp_path / "artifact"
         write(path, old)
         before = path.read_bytes()
-
-        class DiesAfterFourBytes:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:4])
-                raise OSError("simulated crash")
-
-        monkeypatch.setattr(atomic, "open", lambda p, mode: DiesAfterFourBytes(open(p, mode)), raising=False)
+        monkeypatch.setattr(atomic, "open", lambda p, mode: _DiesAfterFourBytes(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="simulated crash"):
             write(path, new)
         assert path.read_bytes() == before
@@ -888,6 +897,7 @@ class TestCli:
             {"sample_budget": 3},
             {"sample_budget": 0},
             {"sample_budget": -2},
+            {"sample_budget": 2},
             {"svm_max_epochs": 0},
             {"gmm_tol": -1e-5},
             {"gmm_tol": float("inf")},
@@ -898,8 +908,8 @@ class TestCli:
         ],
         ids=["string-count", "string-scale", "bool-count", "zero-hop", "no-harmonics", "nan-floor", "infinite-floor",
              "zero-floor", "negative-floor", "overflowing-c", "tiny-theta-step", "empty-codebook", "odd-budget",
-             "zero-budget", "negative-budget", "no-svm-epochs", "negative-gmm-tol", "infinite-gmm-tol", "nan-gmm-tol",
-             "negative-svm-tol", "infinite-svm-tol", "nan-svm-tol"],
+             "zero-budget", "negative-budget", "budget-under-codebook", "no-svm-epochs", "negative-gmm-tol",
+             "infinite-gmm-tol", "nan-gmm-tol", "negative-svm-tol", "infinite-svm-tol", "nan-svm-tol"],
     )
     def test_unusable_config_exits_two_before_extracting(self, corpus, tmp_path, raw):
         config_path = tmp_path / "config.json"

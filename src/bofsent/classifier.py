@@ -123,8 +123,9 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: floa
 
 def _max_step(point, direction) -> float:
     """Largest step along ``direction`` that keeps every array of ``point`` nonnegative."""
-    limits = [-x[dx < 0] / dx[dx < 0] for x, dx in zip(point, direction)]
-    return float(min((limit.min() for limit in limits if limit.size), default=np.inf))
+    x, dx = np.concatenate(point), np.concatenate(direction)
+    down = dx < 0
+    return float((-x[down] / dx[down]).min(initial=np.inf))
 
 
 def _solve_dual(signed: np.ndarray, C: float, max_iters: int, tol: float) -> tuple[np.ndarray, SvmSolve]:

@@ -87,9 +87,7 @@ def frame_signal(signal: PcmSignal, config: ProsodyConfig = ProsodyConfig()) -> 
         raise ValueError(
             f"signal of {x.size} samples is shorter than one {block_len}-sample window"
         )
-    n_blocks = (x.size - block_len) // hop_len + 1
-    idx = hop_len * np.arange(n_blocks)[:, None] + np.arange(block_len)[None, :]
-    return x[idx] * np.hanning(block_len)
+    return np.lib.stride_tricks.sliding_window_view(x, block_len)[::hop_len] * np.hanning(block_len)
 
 
 def _log_frequency_grid(f0_min: float, f0_max: float, bins_per_octave: int) -> np.ndarray:

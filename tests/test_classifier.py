@@ -167,6 +167,12 @@ class TestTrainSvm:
         assert svm_objective(model.w, model.b, fortran, y, 8.0) == svm_objective(model.w, model.b, X, y, 8.0)
 
 
+def _per_array_max_step(point, direction):
+    """Reference step bound: one masked minimum per array, then the least of them."""
+    limits = [-x[dx < 0] / dx[dx < 0] for x, dx in zip(point, direction)]
+    return float(min((limit.min() for limit in limits if limit.size), default=np.inf))
+
+
 class TestSolverProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -201,6 +207,26 @@ class TestSolverProperties:
         again = train_svm(X, y, C, tol=tol)
         assert again.w.tobytes() == model.w.tobytes() and again.b == model.b
         assert again.solve == model.solve
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        direction=st.sampled_from(["mixed", "nonnegative", "one array down"]),
+    )
+    def test_max_step_matches_the_per_array_minimum(self, seed, n, direction):
+        rng = np.random.default_rng(seed)
+        point = tuple(10.0 ** rng.uniform(-9.0, 3.0, (4, n)))
+        steps = rng.normal(0.0, 1.0, (4, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (4, n))
+        if direction != "mixed":
+            steps = np.abs(steps)
+        if direction == "one array down":
+            steps[rng.integers(4)] *= -1.0
+        steps[:, rng.random(n) < 0.2] = 0.0  # components that do not move
+        expected = _per_array_max_step(point, tuple(steps))
+        assert classifier._max_step(point, tuple(steps)) == expected
+        if direction == "nonnegative":
+            assert expected == np.inf
 
 
 class TestCrossValidation:

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,12 +228,13 @@ class TestFitGmm:
     # the bytes of the unweighted fit. The budget and EM's block sums follow
     # BLOCK, so the digests do too; these are for BLOCK = 512, recorded with
     # numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels). Another BLAS may round
-    # the matrix products differently.
+    # the matrix products differently. The ids leave the digest out, so a
+    # re-recorded digest keeps the test's name.
     @pytest.mark.parametrize(
         ("dim", "k", "digest"),
         [
-            (3, 8, "9ce49d09b24a439e8c671cfadf987139cfb249807c06588e9874766212e5328a"),
-            (64, 16, "3aa0de6f8ee43a43334ba63cacce0f5b9e2b294b29dbef05b2b72a21088068c7"),
+            pytest.param(3, 8, "ff03c7b92f5b9c37e166e13e9f80c1f08a99d2676593d60fac98ec1bd859ba03", id="3-8"),
+            pytest.param(64, 16, "dec2ee07add188af392c6b9f3e5214f501ca86d128d245b181150ac01684070f", id="64-16"),
         ],
     )
     def test_unit_counts_keep_their_digest(self, dim, k, digest, tmp_path):
@@ -339,6 +341,19 @@ def _mixture_rows(rng, book, n):
     return book.means[comps] + rng.normal(0.0, 1.0, (n, book.dim)) * np.sqrt(book.variances[comps])
 
 
+def _broad_codebook(rng, k, dim, modality="audio"):
+    """Broad, overlapping components centred away from 0.
+
+    No posterior of rows drawn near them falls to the exp(_LOG_FLOOR) floor the
+    unblocked formulas lack, and neither the means (Σγx) nor the variances
+    (Σγx²/N_k − mean²) cancel, which alone would put the blocked and unblocked
+    codes past rtol 1e-12 at dim 64.
+    """
+    weights = rng.uniform(0.5, 2.0, k)
+    means, variances = rng.normal(2.0, 0.2, (k, dim)), rng.uniform(0.8, 1.25, (k, dim))
+    return GmmCodebook(weights / weights.sum(), means, variances, modality)
+
+
 class TestBlocks:
     """The blocked kernels against the former all-rows-at-once formulas, around block boundaries."""
 
@@ -371,6 +386,23 @@ class TestBlocks:
         pooled = encode(book, DescriptorSet("s", rows)).values
         expected = unblocked_encode(book.weights, book.means, book.variances, rows)
         np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=0)
+
+    # (dim, K) of the codebooks the benchmark fits: audio and video at K=16, audio at K=256.
+    @pytest.mark.parametrize(("dim", "k"), [(3, 16), (64, 16), (3, 256)])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_em_step_and_encode_match_unblocked_at_benchmark_shapes(self, n, dim, k):
+        rng = np.random.default_rng(300 + n + k + dim)
+        book = _broad_codebook(rng, k, dim)
+        rows = rng.normal(2.0, 1.0, (n, dim)).astype(np.float32)
+        data = rows.astype(np.float64)
+        updated, ll = em_step(book, data, 1e-3, _ones(data))
+        *expected, expected_ll = unblocked_em_step(book.weights, book.means, book.variances, data, 1e-3)
+        for got, want in zip((updated.weights, updated.means, updated.variances), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
+        pooled = encode(book, DescriptorSet("s", rows)).values
+        expected_pooled = unblocked_encode(book.weights, book.means, book.variances, rows)
+        np.testing.assert_allclose(pooled, expected_pooled, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_assign_matches_brute_force_argmin(self, n):
@@ -473,11 +505,12 @@ class TestBlocks:
         rows = _mixture_rows(rng, book, n)
         counts = rng.integers(1, max_count + 1, n)
         feats, post, scale, norms = _block_posteriors(rows, book.terms, counts)
-        weighted = post * scale[:, None]
-        assert np.abs(weighted.sum(axis=1) - counts).max() <= 1e-12
+        assert post.shape == (5, n)  # component-major: column i is row i's posteriors
+        weighted = post * scale
+        assert np.abs(weighted.sum(axis=0) - counts).max() <= 1e-12
         expected_feats, unscaled, unscaled_norms = unscaled_block_posteriors(rows, book.terms)
         _same_bits(feats, expected_feats)
-        np.testing.assert_allclose(weighted, unscaled * counts[:, None], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(weighted, unscaled * counts, rtol=1e-15, atol=0)
         _same_bits(norms, counts * unscaled_norms)
         # counts enter only through the row weights and log normalisers
         unit = _block_posteriors(rows, book.terms, np.ones(n, dtype=np.int64))
@@ -658,15 +691,8 @@ class TestWeighted:
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_k256_matches_unblocked_on_repeated_rows(self, dim):
-        # Broad, overlapping components centred away from 0: no posterior falls to
-        # the exp(_LOG_FLOOR) floor the unblocked formulas lack, and neither the
-        # means (Σγx) nor the variances (Σγx²/N_k − mean²) cancel, which alone
-        # would put both codes past rtol 1e-12 at dim 64.
         rng = np.random.default_rng(40 + dim)
-        weights = rng.uniform(0.5, 2.0, 256)
-        book = GmmCodebook(
-            weights / weights.sum(), rng.normal(2.0, 0.2, (256, dim)), rng.uniform(0.8, 1.25, (256, dim)), "video"
-        )
+        book = _broad_codebook(rng, 256, dim, "video")
         rows = rng.normal(2.0, 1.0, (BLOCK + 37, dim)).astype(np.float32).astype(np.float64)
         counts = rng.integers(1, 10, len(rows))
         repeated = np.repeat(rows, counts, axis=0)
@@ -797,6 +823,14 @@ class TestTerms:
         joint = np.hstack([rows * rows, rows, np.ones((50, 1))]) @ book.terms
         expected = unblocked_log_joint(book.weights, book.means, book.variances, rows)
         np.testing.assert_allclose(joint, expected, rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_terms_rejected_without_a_warning(self):
+        # mean/var = 1e271 is finite, but mean²/var in the constant overflows to inf
+        args = np.array([0.5, 0.5]), np.array([[0.0], [1e268]]), np.array([[1.0], [1e-3]]), "audio"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="joint terms must be finite"):
+                GmmCodebook(*args)
 
     def test_terms_current_after_em_step_and_read(self, tmp_path):
         rng = np.random.default_rng(23)

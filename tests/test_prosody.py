@@ -50,6 +50,24 @@ class TestFrameSignal:
         block = frame_signal(sig)[0]
         assert np.allclose(block, np.hanning(800))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block_len=st.integers(1, 300),
+        hop_fraction=st.floats(0.0, 1.0),
+        extra=st.integers(0, 700),
+    )
+    def test_frames_match_an_index_gather_bitwise(self, seed, block_len, hop_fraction, extra):
+        rate = 1000
+        hop_len = max(1, round(hop_fraction * block_len))
+        config = ProsodyConfig(window=block_len / rate, hop=hop_len / rate)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, block_len + extra)
+        frames = frame_signal(PcmSignal(samples=x, sample_rate=rate), config)
+        n_blocks = extra // hop_len + 1
+        idx = hop_len * np.arange(n_blocks)[:, None] + np.arange(block_len)[None, :]
+        expected = x[idx] * np.hanning(block_len)
+        assert frames.shape == expected.shape and frames.tobytes() == expected.tobytes()
+
 
 class TestProsodyConfig:
     @pytest.mark.parametrize(

@@ -117,6 +117,14 @@ def _f8(*values):
         pytest.param(
             "odd.pcm", b"\1\2\3", lambda path: read_pcm(path, path.read_bytes(), 8000), "odd number", id="PCM-odd-bytes"
         ),
+        # finite parameters whose joint terms overflow, once accepted with a RuntimeWarning
+        pytest.param(
+            "overflow.gmm",
+            _GMM1.pack(b"GMM1", 2, 1, 0) + _f8(0.5, 0.5) + _f8(0.0, 1e268) + _f8(1.0, 1e-3),
+            read_codebook,
+            "joint terms must be finite",
+            id="GMM1-terms-overflow",
+        ),
         # The cases below once raised without the file's name.
         pytest.param(
             "bad-id.dsc",

@@ -368,13 +368,16 @@ def unblocked_em_step(weights, means, variances, data, variance_floor, weight_fl
 
 
 def unscaled_block_posteriors(rows, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features ``[x², x, 1]``, posteriors divided by their row sums and log normalisers: every row counts once."""
-    feats = np.hstack([rows * rows, rows, np.ones((rows.shape[0], 1))])
-    post = feats @ terms
-    peak = post.max(axis=1, keepdims=True)
+    """Component-major features ``[x²; x; 1]``, posteriors divided by their column sums and log normalisers.
+
+    Column i belongs to row i, and every row counts once.
+    """
+    feats = np.vstack([rows.T * rows.T, rows.T, np.ones((1, rows.shape[0]))])
+    post = terms.T @ feats
+    peak = post.max(axis=0)
     post = np.exp(np.maximum(post - peak, -600.0))
-    total = post.sum(axis=1, keepdims=True)
-    return feats, post / total, peak[:, 0] + np.log(total[:, 0])
+    total = post.sum(axis=0)
+    return feats, post / total, peak + np.log(total)
 
 
 def unblocked_encode(weights, means, variances, rows) -> np.ndarray:
